@@ -13,6 +13,7 @@ from .errors import (
     GenerationTimeout,
     GridOverflow,
     Infeasible,
+    InputError,
     InvalidFraction,
     InvalidJobSequence,
     McSchedError,

@@ -5,7 +5,7 @@ Subcommands: ``analyze`` (admissibility and utilization trade-offs),
 task sets), ``prob`` (degradation-avoidance probabilities) and
 ``experiment`` (the canned reproducible studies).  Exit status is 0 on
 success, 1 when a check fails or a system is found unschedulable, 2 on
-usage errors.
+usage errors and malformed or missing input files.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .analysis import (
     threshold_m,
     total_system_utilization,
 )
-from .errors import Infeasible, McSchedError
+from .errors import Infeasible, InputError, McSchedError
 from .experiments import EXPERIMENTS, ExperimentSpec, run_experiment, write_rows
 from .generator import (
     BANDS,
@@ -213,9 +213,12 @@ def _parse_band(text: str):
 
 
 def _cmd_gen(args) -> int:
-    band = _parse_band(args.band)
-    params = GenParams(band=band, rc=args.rc, seed=args.seed,
-                       inflate_lc=args.inflate_lc)
+    try:
+        params = GenParams(band=_parse_band(args.band), rc=args.rc,
+                           seed=args.seed, inflate_lc=args.inflate_lc)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"gen: {exc}") from None
+    band = params.band
     out = _out_dir(args)
     for i in range(args.count):
         ts = gen_taskset(params, np.random.SeedSequence((args.seed, i)))
@@ -306,7 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", parents=[common], help="generate random task sets")
     p.add_argument("--band", required=True,
-                   help="per-class utilization band: lo:hi or a label like 0.55")
+                   help="band for the average utilization "
+                        "(U_L + U_H + sum of HC C_L/T) / 2: lo:hi or a "
+                        "label like 0.55")
     p.add_argument("--rc", type=int, default=3)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--inflate-lc", action="store_true")
@@ -332,12 +337,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (InputError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except McSchedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -45,7 +45,11 @@ class GenerationTimeout(McSchedError):
     """Task-set generation exceeded the configured restart budget."""
 
 
-class TaskSetParseError(McSchedError):
+class InputError(McSchedError, ValueError):
+    """A file or option supplied from outside the program is malformed."""
+
+
+class TaskSetParseError(InputError):
     """A task-set file is malformed; carries the offending line number."""
 
     def __init__(self, line_no: int, message: str):

@@ -33,6 +33,7 @@ from .generator import (
     GenParams,
     GridDemand,
     UniformDemand,
+    _coerce_rng,
     band_label,
     gen_job_sequence,
     gen_taskset,
@@ -243,14 +244,6 @@ class Scenario:
         return SimConfig(EdfUvdMeba(self.beta_star), self.x, horizon=self.horizon)
 
 
-def _rng_of(seed_material) -> np.random.Generator:
-    if isinstance(seed_material, np.random.Generator):
-        return seed_material
-    if isinstance(seed_material, np.random.SeedSequence):
-        return np.random.Generator(np.random.PCG64(seed_material))
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed_material)))
-
-
 def random_feasible_scenario(seed_material, *, switchy: bool = False,
                              fine_demands: bool = False) -> Scenario:
     """Draw a schedulable system and a sporadic job sequence for it.
@@ -262,7 +255,7 @@ def random_feasible_scenario(seed_material, *, switchy: bool = False,
     ``fine_demands`` draws demand scales on a fine prime-denominator lattice
     to keep budget boundaries off the release lattice.
     """
-    rng = _rng_of(seed_material)
+    rng = _coerce_rng(seed_material)
     n_lc = int(rng.integers(1, 3, endpoint=True))
     n_hc = int(rng.integers(1, 3, endpoint=True))
     u_l = Fraction(int(rng.integers(10, 90, endpoint=True)), 100)
@@ -338,7 +331,7 @@ def switch_inducing_scenario(seed: int, trial: int, *, attempts: int = 50,
 def random_budget_vectors(ts: TaskSet, beta_star: Fraction, rng, count: int,
                           include: Sequence[dict] = ()) -> list[dict]:
     """Fixed budget vectors whose bandwidth never exceeds the pool."""
-    rng = _rng_of(rng)
+    rng = _coerce_rng(rng)
     _, u_h = utilizations(ts)
     pool = beta_star * u_h
     hc = ts.hc_tasks
@@ -360,7 +353,7 @@ def run_lemma2_fuzz(spec: ExperimentSpec, *, vectors_per_sequence: int = 20
     for trial in range(trials):
         sc = random_feasible_scenario(
             np.random.SeedSequence((spec.seed, 2, trial)), switchy=True)
-        rng = _rng_of(np.random.SeedSequence((spec.seed, 3, trial)))
+        rng = _coerce_rng(np.random.SeedSequence((spec.seed, 3, trial)))
         trace = simulate(sc.ts, sc.config(), sc.jobs, stop_after_switch=True)
         t_dyn = mode_switch_instant(trace)
         include = [{t.id: Fraction(0) for t in sc.ts.hc_tasks}]

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd
 from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import GenerationTimeout
+from .errors import GenerationTimeout, InputError
 from .probability import BUILTIN_DISTRIBUTIONS, ExecDistribution
 from .simulator import Job
 from .taskmodel import Criticality, McTask, TaskSet, Time, as_fraction
@@ -41,7 +42,9 @@ class GenParams:
     """Knobs for task-set generation.
 
     Attributes:
-        band: Target (lo, hi) range for the average utilization.
+        band: Target (lo, hi) range for the average utilization
+            ``(U_L + U_H + sum over HC tasks of C_L / T) / 2``.  It bounds
+            that average only, not U_L or U_H on its own.
         rc: WCET inflation bound; HC full budgets draw from
             [C_L, rc * C_L].
         ph: Probability that a task is high-criticality.
@@ -72,6 +75,12 @@ class GenParams:
         object.__setattr__(self, "band", (lo, hi))
         if self.rc < 1:
             raise ValueError(f"rc must be at least 1, got {self.rc}")
+        if not 1 <= self.cl_range[0] <= self.cl_range[1]:
+            raise ValueError(
+                f"cl_range must satisfy 1 <= lo <= hi, got {self.cl_range}")
+        if self.resolution < 1:
+            raise ValueError(
+                f"resolution must be at least 1, got {self.resolution}")
 
 
 RngLike = Union[int, np.random.SeedSequence, np.random.Generator, None]
@@ -87,14 +96,9 @@ def _coerce_rng(rng: RngLike, fallback_seed: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng)))
 
 
-def gen_task(params: GenParams, rng: RngLike, task_id: int = 1) -> McTask:
-    """Draw one task: criticality, optimistic budget, WCET, period.
-
-    The optimistic execution C_L is uniform on ``cl_range``; HC WCETs are
-    uniform on [C_L, rc * C_L]; periods are uniform on [C, t_max].  All
-    uniforms are discretized to ``resolution`` ticks.
-    """
-    rng = _coerce_rng(rng, params.seed)
+def _draw_ticks(params: GenParams, rng: np.random.Generator
+                ) -> tuple[bool, int, int, int]:
+    """One task's draws as ``(is_hc, C_L, C, T)`` in integer ticks."""
     res = params.resolution
     is_hc = bool(rng.random() < params.ph)
     cl = int(rng.integers(params.cl_range[0] * res, params.cl_range[1] * res,
@@ -104,6 +108,13 @@ def gen_task(params: GenParams, rng: RngLike, task_id: int = 1) -> McTask:
     else:
         c = cl
     t = int(rng.integers(c, params.t_max * res, endpoint=True))
+    return is_hc, cl, c, t
+
+
+def _task_of(params: GenParams, ticks: tuple[bool, int, int, int],
+             task_id: int) -> McTask:
+    is_hc, cl, c, t = ticks
+    res = params.resolution
     return McTask(
         id=task_id,
         period=Fraction(t, res),
@@ -114,17 +125,32 @@ def gen_task(params: GenParams, rng: RngLike, task_id: int = 1) -> McTask:
     )
 
 
+def gen_task(params: GenParams, rng: RngLike, task_id: int = 1) -> McTask:
+    """Draw one task: criticality, optimistic budget, WCET, period.
+
+    The optimistic execution C_L is uniform on ``cl_range``; HC WCETs are
+    uniform on [C_L, rc * C_L]; periods are uniform on [C, t_max].  All
+    uniforms are discretized to ``resolution`` ticks.
+    """
+    return _task_of(params, _draw_ticks(params, _coerce_rng(rng, params.seed)),
+                    task_id)
+
+
 def gen_taskset(params: GenParams, rng: RngLike = None) -> TaskSet:
     """Grow task sets until the average utilization lands in the band.
 
     Adding a task strictly increases the average utilization, so each
     attempt terminates; attempts that overshoot the band restart with a
-    fresh child stream.
+    fresh child stream.  The running sum is kept as an exact integer ratio
+    of ticks, and tasks are built only for the attempt that lands.
 
     Raises:
         GenerationTimeout: after ``max_restarts`` failed attempts.
     """
-    lo2, hi2 = 2 * params.band[0], 2 * params.band[1]
+    lo, hi = params.band
+    # 2*lo <= num/den <= 2*hi, cross-multiplied
+    lo_n, lo_d = 2 * lo.numerator, lo.denominator
+    hi_n, hi_d = 2 * hi.numerator, hi.denominator
     base: np.random.Generator | None = None
     if isinstance(rng, np.random.Generator):
         base = rng
@@ -137,18 +163,23 @@ def gen_taskset(params: GenParams, rng: RngLike = None) -> TaskSet:
         else:
             root = params.seed if rng is None else rng
             stream = _coerce_rng(np.random.SeedSequence((root, attempt)))
-        tasks: list[McTask] = []
-        acc = Fraction(0)  # U_L + U_H + sum of optimistic HC bandwidths
+        drawn: list[tuple[bool, int, int, int]] = []
+        # U_L + U_H + sum of optimistic HC bandwidths, as num / den
+        num, den = 0, 1
         while True:
-            task = gen_task(params, stream, task_id=len(tasks) + 1)
-            tasks.append(task)
-            acc += task.utilization
-            if task.is_hc:
-                acc += task.lc_estimate / task.period
-            if lo2 <= acc <= hi2:
-                return TaskSet(tuple(tasks))
-            if acc > hi2:
+            ticks = _draw_ticks(params, stream)
+            drawn.append(ticks)
+            is_hc, cl, c, t = ticks
+            num = num * t + (c + cl if is_hc else c) * den
+            den *= t
+            g = gcd(num, den)
+            num //= g
+            den //= g
+            if num * hi_d > hi_n * den:
                 break
+            if num * lo_d >= lo_n * den:
+                return TaskSet(tuple(_task_of(params, d, i)
+                                     for i, d in enumerate(drawn, start=1)))
     raise GenerationTimeout(
         f"no task set hit band {params.band} in {params.max_restarts} attempts")
 
@@ -210,15 +241,23 @@ def _draw_scale(model: DemandModel, rng: np.random.Generator) -> Fraction:
 
 
 def parse_demand_model(text: str) -> DemandModel:
-    """Parse CLI syntax: ``grid``, ``uniform:LO:HI`` or ``constant:S``."""
+    """Parse CLI syntax: ``grid``, ``uniform:LO:HI`` or ``constant:S``.
+
+    Raises:
+        InputError: for an unknown model or an out-of-range parameter.
+    """
     parts = text.split(":")
-    if parts[0] == "grid" and len(parts) == 1:
-        return GridDemand()
-    if parts[0] == "uniform" and len(parts) == 3:
-        return UniformDemand(Fraction(parts[1]), Fraction(parts[2]))
-    if parts[0] == "constant" and len(parts) == 2:
-        return ConstantDemand(Fraction(parts[1]))
-    raise ValueError(f"unknown demand model {text!r}")
+    try:
+        if parts[0] == "grid" and len(parts) == 1:
+            return GridDemand()
+        if parts[0] == "uniform" and len(parts) == 3:
+            return UniformDemand(Fraction(parts[1]), Fraction(parts[2]))
+        if parts[0] == "constant" and len(parts) == 2:
+            return ConstantDemand(Fraction(parts[1]))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"demand model {text!r}: {exc}") from None
+    raise InputError(f"unknown demand model {text!r}; use grid, "
+                     "uniform:LO:HI or constant:S")
 
 
 def gen_job_sequence(ts: TaskSet, horizon, demand_model: DemandModel,

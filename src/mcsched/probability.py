@@ -22,6 +22,7 @@ import bisect
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import GridOverflow, InvalidFraction
@@ -137,8 +138,8 @@ def p_noswitch_static(dist: ExecDistribution, n: int, beta_i) -> float:
     return float(dist.cdf_at(beta) ** n)
 
 
-def _enumerate_mass(weights: Sequence[Sequence[tuple[Fraction, Fraction]]],
-                    bound: Fraction) -> Fraction:
+def _enumerate_mass(weights: Sequence[Sequence[tuple[int, int]]],
+                    bound: int) -> int:
     """Exact mass of { sum_i v_i <= bound } by meet-in-the-middle enumeration.
 
     ``weights[i]`` lists (value, weight) pairs for coordinate i.  Both halves
@@ -147,7 +148,7 @@ def _enumerate_mass(weights: Sequence[Sequence[tuple[Fraction, Fraction]]],
     """
 
     def expand(cols):
-        acc = [(Fraction(0), Fraction(1))]
+        acc = [(0, 1)]
         for col in cols:
             acc = [(v + cv, w * cw) for v, w in acc for cv, cw in col]
         return acc
@@ -157,18 +158,18 @@ def _enumerate_mass(weights: Sequence[Sequence[tuple[Fraction, Fraction]]],
     right = expand(weights[half:])
     right.sort(key=lambda p: p[0])
     right_vals = [v for v, _ in right]
-    prefix = [Fraction(0)]
+    prefix = [0]
     for _, w in right:
         prefix.append(prefix[-1] + w)
-    total = Fraction(0)
+    total = 0
     for v, w in left:
         idx = bisect.bisect_right(right_vals, bound - v)
         total += w * prefix[idx]
     return total
 
 
-def _convolve_mass(weights: Sequence[Sequence[tuple[Fraction, Fraction]]],
-                   bound: Fraction, max_states: int) -> Fraction:
+def _convolve_mass(weights: Sequence[Sequence[tuple[int, int]]],
+                   bound: int, max_states: int) -> int:
     """Exact mass of { sum_i v_i <= bound } by lattice convolution.
 
     States above the bound are pruned (increments are non-negative, so they
@@ -177,9 +178,9 @@ def _convolve_mass(weights: Sequence[Sequence[tuple[Fraction, Fraction]]],
     Raises:
         GridOverflow: if the running state count exceeds ``max_states``.
     """
-    acc: dict[Fraction, Fraction] = {Fraction(0): Fraction(1)}
+    acc: dict[int, int] = {0: 1}
     for col in weights:
-        nxt: dict[Fraction, Fraction] = defaultdict(Fraction)
+        nxt: dict[int, int] = defaultdict(int)
         for value, weight in col:
             if weight == 0:
                 continue
@@ -191,25 +192,27 @@ def _convolve_mass(weights: Sequence[Sequence[tuple[Fraction, Fraction]]],
             raise GridOverflow(
                 f"convolution lattice grew to {len(nxt)} states (cap {max_states})")
         acc = dict(nxt)
-    return sum(acc.values(), Fraction(0))
+    return sum(acc.values())
 
 
 def p_noswitch_dynamic(dist: ExecDistribution, u_list: Sequence, beta_star, *,
-                       method: str = "auto", max_states: int = 200_000,
-                       summand: str = "pmf") -> float:
+                       method: str = "auto", max_states: int = 200_000) -> float:
     """Survival probability of one busy interval under the dynamic pool.
 
     The interval stays nominal iff the drawn scales satisfy
     ``sum(s_i * u_i) <= beta_star * sum(u_i)``.  Scales are independent
     draws from ``dist``; utilizations must be positive rationals.
 
+    Both algorithms run on an integer lattice: every value ``g * u`` and the
+    bound are multiplied by the lcm of their denominators, and the pmf by
+    the lcm ``W`` of its denominators.  The scaling is one-to-one, so the
+    lattice has the same states as its rational form, and the mass over
+    ``W**n`` is the exact probability.
+
     Args:
         method: "auto" picks enumeration for up to 8 tasks and convolution
             beyond; "enumerate" / "convolve" force one algorithm.
         max_states: state cap for the convolution lattice.
-        summand: "pmf" weighs each assignment by its probability.  The
-            alternative "cdf" reading multiplies per-task CDF values instead;
-            it is not a probability measure and exists only for comparison.
 
     Raises:
         GridOverflow: if convolution exceeds ``max_states`` states.
@@ -218,20 +221,24 @@ def p_noswitch_dynamic(dist: ExecDistribution, u_list: Sequence, beta_star, *,
     if not us or any(u <= 0 for u in us):
         raise ValueError("u_list must be non-empty with positive entries")
     beta = unit_fraction(beta_star, "beta_star")
-    if summand not in ("pmf", "cdf"):
-        raise ValueError(f"unknown summand {summand!r}")
-    per_scale = dist.pmf if summand == "pmf" else dist.cdf
     bound = beta * sum(us, Fraction(0))
+    values = [[g * u for g in dist.grid] for u in us]
+    scale = lcm(bound.denominator,
+                *(v.denominator for row in values for v in row))
+    pmf = dist.pmf
+    w_scale = lcm(*(w.denominator for w in pmf))
+    int_pmf = [int(w * w_scale) for w in pmf]
     weights = [
-        [(g * u, w) for g, w in zip(dist.grid, per_scale)]
-        for u in us
+        [(int(v * scale), w) for v, w in zip(row, int_pmf)]
+        for row in values
     ]
+    int_bound = int(bound * scale)
     if method == "auto":
         method = "enumerate" if len(us) <= 8 else "convolve"
     if method == "enumerate":
-        mass = _enumerate_mass(weights, bound)
+        mass = _enumerate_mass(weights, int_bound)
     elif method == "convolve":
-        mass = _convolve_mass(weights, bound, max_states)
+        mass = _convolve_mass(weights, int_bound, max_states)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return float(mass)
+    return float(Fraction(mass, w_scale ** len(us)))

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import BudgetSumViolation, InvalidJobSequence
+from .errors import BudgetSumViolation, InputError, InvalidJobSequence
 from .meba import MebaState, Mode
 from .taskmodel import (
     Criticality,
@@ -796,13 +796,24 @@ def check_mapping_equivalence(ts: TaskSet, alphas, x, jobs: Sequence[Job], *,
 
 
 def load_jobs_csv(path) -> tuple[Job, ...]:
-    """Read jobs from CSV columns ``task,release,demand``."""
+    """Read jobs from CSV columns ``task,release,demand``.
+
+    Raises:
+        InputError: if a column is missing or a row does not parse.
+    """
     entries = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(row for row in fh if not row.startswith("#"))
+        missing = [c for c in ("task", "release", "demand")
+                   if c not in (reader.fieldnames or ())]
+        if missing:
+            raise InputError(f"{path}: missing column(s) {', '.join(missing)}")
         for row in reader:
-            entries.append((int(row["task"]), Fraction(row["release"]),
-                            Fraction(row["demand"])))
+            try:
+                entries.append((int(row["task"]), Fraction(row["release"]),
+                                Fraction(row["demand"])))
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise InputError(f"{path}: bad job row {row}") from None
     return make_jobs(entries)
 
 

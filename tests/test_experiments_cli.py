@@ -258,6 +258,44 @@ def test_cli_missing_file_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_cli_unknown_demand_model_is_a_usage_error(tmp_path, capsys,
+                                                   half_four_fifths_set):
+    path = taskset_file(tmp_path, half_four_fifths_set)
+    rc = main(["simulate", "--taskset", path, "--beta-star", "1/4",
+               "--x", "2/5", "--horizon", "10", "--demand-model", "foo"])
+    assert rc == 2
+    assert_one_error_line(capsys)
+
+
+def test_cli_jobs_csv_without_release_column(tmp_path, capsys,
+                                             half_four_fifths_set):
+    path = taskset_file(tmp_path, half_four_fifths_set)
+    jobs_path = tmp_path / "jobs.csv"
+    jobs_path.write_text("task,demand\n1,5\n")
+    rc = main(["simulate", "--taskset", path, "--beta-star", "1/4",
+               "--x", "2/5", "--jobs-csv", str(jobs_path)])
+    assert rc == 2
+    assert_one_error_line(capsys)
+
+
+def test_cli_malformed_taskset_exit_code(tmp_path, capsys):
+    path = tmp_path / "set.txt"
+    path.write_text("taskset v1\n1 10 5\n")
+    assert main(["analyze", "--taskset", str(path)]) == 2
+    assert_one_error_line(capsys)
+
+
+def test_cli_gen_rejects_an_inverted_band(tmp_path, capsys):
+    rc = main(["gen", "--band", "0.6:0.5", "--out", str(tmp_path)])
+    assert rc == 2
+    assert_one_error_line(capsys)
+
+
 def test_cli_requires_a_subcommand():
     with pytest.raises(SystemExit):
         main([])

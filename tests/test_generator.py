@@ -1,5 +1,7 @@
 from fractions import Fraction as F
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from mcsched import (
     validate_jobs,
 )
 from mcsched.generator import band_label
+from mcsched.taskmodel import format_taskset
 
 
 def avg_utilization(ts):
@@ -90,6 +93,53 @@ def test_generation_is_deterministic():
     assert a != c
 
 
+# SHA-256 over the text form of every set below, one digest per kind of rng
+# argument.  Any change to the draws, their order or the band test moves it.
+GOLDEN_SHA256 = {
+    "generator": "fd5b22d3e37e768bbbe4d445b11d735bed04ed01ccd3fa87e23f7f14dee1f2fd",
+    "int": "dedbfcc50948077246bb14807b745004e0ea7fc72832cd1700fb2d3abe57c5df",
+    "seedseq": "bc952661421c732a98eea9645affc1ba09bde3aacfbc71008acc2765d8d75ef2",
+}
+
+
+def golden_sets_text(kind: str) -> str:
+    texts = []
+    for band_idx, band in enumerate(BANDS):
+        for rc in (3, 4, 5):
+            for inflate in (False, True):
+                params = GenParams(band=band, rc=rc, seed=band_idx,
+                                   inflate_lc=inflate)
+                shared = np.random.Generator(np.random.PCG64(
+                    np.random.SeedSequence((band_idx, rc, int(inflate)))))
+                for trial in range(3):
+                    if kind == "seedseq":
+                        rng = np.random.SeedSequence(
+                            (band_idx, rc, trial, int(inflate)))
+                    elif kind == "int":
+                        rng = 1000 * band_idx + 100 * rc + 10 * trial + int(inflate)
+                    else:
+                        rng = shared
+                    texts.append(format_taskset(gen_taskset(params, rng)))
+    return "".join(texts)
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_SHA256))
+def test_generated_sets_match_the_golden_digest(kind):
+    text = golden_sets_text(kind)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[kind]
+
+
+@pytest.mark.parametrize("band", [(F(1, 8), F(1, 4)), (F(1, 4), F(3, 8))])
+def test_band_edges_are_inclusive(band):
+    # one LC task of C = 1 and T in {1, 2}: only T = 2 can land, and its
+    # average utilization 1/4 sits exactly on an edge of the band
+    params = GenParams(band=band, ph=0.0, cl_range=(1, 1), t_max=2,
+                       resolution=1, max_restarts=64)
+    ts = gen_taskset(params, np.random.SeedSequence(0))
+    assert [(t.period, t.wcet) for t in ts.tasks] == [(F(2), F(1))]
+    assert avg_utilization(ts) == F(1, 4)
+
+
 def test_generation_timeout():
     params = GenParams(band=(F(1, 1000), F(2, 1000)), max_restarts=5)
     with pytest.raises(GenerationTimeout):
@@ -103,6 +153,13 @@ def test_params_validation():
         GenParams(band=(F(0), F(1, 2)))
     with pytest.raises(ValueError):
         GenParams(band=BANDS[0], rc=0)
+    for cl_range in ((0, 1), (-1, 5), (5, 4)):
+        with pytest.raises(ValueError, match="cl_range"):
+            GenParams(band=BANDS[0], cl_range=cl_range)
+    for resolution in (0, -100):
+        with pytest.raises(ValueError, match="resolution"):
+            GenParams(band=BANDS[0], resolution=resolution)
+    GenParams(band=BANDS[0], cl_range=(1, 1), resolution=1)
 
 
 def test_job_sequence_counts_on_a_common_multiple():

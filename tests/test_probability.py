@@ -1,7 +1,9 @@
+import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from mcsched import (
     BUILTIN_DISTRIBUTIONS,
@@ -76,10 +78,45 @@ def test_convolution_state_cap():
                            method="convolve", max_states=3)
 
 
-def test_cdf_summand_is_a_different_reading():
-    us = [F(1, 10), F(1, 10)]
-    assert (p_noswitch_dynamic(TABLE4, us, F(1, 2), summand="cdf")
-            != p_noswitch_dynamic(TABLE4, us, F(1, 2), summand="pmf"))
+# grid off the tenths, with a zero-mass point
+SMALL = ExecDistribution((F(1, 3), F(1, 2), F(4, 5), F(1)),
+                         (F(1, 4), F(1, 4), F(5, 7), F(1)))
+
+
+def brute_force_survival(dist, us, beta):
+    """Exact mass and peak lattice size, by visiting every grid assignment."""
+    bound = beta * sum(us)
+    pmf = dist.pmf
+    mass = F(0)
+    for picks in itertools.product(range(len(dist.grid)), repeat=len(us)):
+        if sum(dist.grid[k] * u for k, u in zip(picks, us)) <= bound:
+            mass += math.prod(pmf[k] for k in picks)
+    live = [k for k in range(len(dist.grid)) if pmf[k] > 0]
+    peak = 0
+    for m in range(1, len(us) + 1):
+        sums = {sum(dist.grid[k] * u for k, u in zip(picks, us))
+                for picks in itertools.product(live, repeat=m)}
+        peak = max(peak, sum(1 for v in sums if v <= bound))
+    return mass, peak
+
+
+# no shrinking: each example can visit 10**4 assignments
+@settings(max_examples=40, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.generate))
+@given(st.sampled_from([TABLE4, SMALL]),
+       st.lists(st.fractions(min_value=F(1, 40), max_value=1,
+                             max_denominator=40), min_size=1, max_size=4),
+       st.fractions(min_value=0, max_value=1, max_denominator=60))
+def test_dynamic_survival_matches_brute_force(dist, us, beta):
+    mass, peak = brute_force_survival(dist, us, beta)
+    for method in ("enumerate", "convolve"):
+        assert p_noswitch_dynamic(dist, us, beta, method=method) == float(mass)
+    assert p_noswitch_dynamic(dist, us, beta, method="convolve",
+                              max_states=peak) == float(mass)
+    if peak:
+        with pytest.raises(GridOverflow):
+            p_noswitch_dynamic(dist, us, beta, method="convolve",
+                               max_states=peak - 1)
 
 
 def test_input_validation():
@@ -93,8 +130,6 @@ def test_input_validation():
         p_noswitch_dynamic(TABLE4, [F(0)], F(1, 2))
     with pytest.raises(InvalidFraction):
         p_noswitch_dynamic(TABLE4, [F(1, 10)], F(3, 2))
-    with pytest.raises(ValueError):
-        p_noswitch_dynamic(TABLE4, [F(1, 10)], F(1, 2), summand="bogus")
     with pytest.raises(ValueError):
         p_noswitch_dynamic(TABLE4, [F(1, 10)], F(1, 2), method="bogus")
 
