@@ -28,7 +28,13 @@ from .analysis import (
     total_system_utilization,
 )
 from .errors import Infeasible, InputError, McSchedError
-from .experiments import EXPERIMENTS, ExperimentSpec, run_experiment, write_rows
+from .experiments import (
+    EXPERIMENTS,
+    ExperimentSpec,
+    run_experiment,
+    taskset_with_utilizations,
+    write_rows,
+)
 from .generator import (
     BANDS,
     GenParams,
@@ -57,14 +63,7 @@ from .simulator import (
     validate_jobs,
     verify_mc_schedulable,
 )
-from .taskmodel import (
-    Criticality,
-    McTask,
-    TaskSet,
-    load_taskset,
-    save_taskset,
-    utilizations,
-)
+from .taskmodel import TaskSet, load_taskset, save_taskset, utilizations
 
 
 def _frac(text: str) -> Fraction:
@@ -85,13 +84,8 @@ def _load_or_synthesize(args) -> TaskSet:
     if args.taskset:
         return load_taskset(args.taskset)
     if args.u_l is None or args.u_h is None:
-        raise SystemExit("analyze: need --taskset or both --u-l and --u-h")
-    tasks = []
-    if args.u_l > 0:
-        tasks.append(McTask(1, Fraction(1), args.u_l, Criticality.LC))
-    if args.u_h > 0:
-        tasks.append(McTask(2, Fraction(1), args.u_h, Criticality.HC))
-    return TaskSet(tuple(tasks))
+        raise InputError("analyze: need --taskset or both --u-l and --u-h")
+    return taskset_with_utilizations(args.u_l, args.u_h)
 
 
 def _cmd_analyze(args) -> int:
@@ -145,19 +139,19 @@ def _cmd_simulate(args) -> int:
     ts = load_taskset(args.taskset)
     if args.policy == "uvd":
         if args.beta_star is None:
-            raise SystemExit("simulate: --policy uvd needs --beta-star")
+            raise InputError("simulate: --policy uvd needs --beta-star")
         policy = EdfUvdMeba(args.beta_star)
     elif args.policy == "vd":
         policy = EdfVdStatic()
     else:
         if not args.budgets:
-            raise SystemExit("simulate: --policy fixed needs --budgets")
+            raise InputError("simulate: --policy fixed needs --budgets")
         policy = FixedBudget(_parse_budgets(args.budgets))
 
     x = args.x
     if x is None:
         if args.alpha_star is None or args.beta_star is None:
-            raise SystemExit("simulate: need --x, or --alpha-star with --beta-star")
+            raise InputError("simulate: need --x, or --alpha-star with --beta-star")
         verdict = theorem1_test(ts, args.alpha_star, args.beta_star)
         try:
             x = default_x(verdict)
@@ -171,7 +165,7 @@ def _cmd_simulate(args) -> int:
         validate_jobs(ts, jobs)
     else:
         if args.horizon is None:
-            raise SystemExit("simulate: generating jobs needs --horizon")
+            raise InputError("simulate: generating jobs needs --horizon")
         model = parse_demand_model(args.demand_model)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
         jobs = gen_job_sequence(ts, args.horizon, model, rng)
@@ -207,7 +201,7 @@ def _parse_band(text: str):
             return band
     lo, sep, hi = text.partition(":")
     if not sep:
-        raise SystemExit(f"gen: unknown band {text!r}; use lo:hi or one of "
+        raise InputError(f"unknown band {text!r}; use lo:hi or one of "
                          + ",".join(band_label(b) for b in BANDS))
     return (Fraction(lo), Fraction(hi))
 
@@ -241,7 +235,7 @@ def _cmd_prob(args) -> int:
         us = ([Fraction(u) for u in args.u.split(",")] if args.u
               else [Fraction(1, 10)] * n)
         if len(us) != n:
-            raise SystemExit(f"prob: got {len(us)} utilizations for n={n}")
+            raise InputError(f"prob: got {len(us)} utilizations for n={n}")
         for beta in betas:
             if args.model in ("s", "both"):
                 rows.append((n, float(beta), "s", p_noswitch_static(dist, n, beta)))

@@ -13,17 +13,17 @@ stream, so the draws of earlier attempts never leak into later ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
 from .errors import GenerationTimeout, InputError
 from .probability import BUILTIN_DISTRIBUTIONS, ExecDistribution
 from .simulator import Job
-from .taskmodel import Criticality, McTask, TaskSet, Time, as_fraction
+from .taskmodel import Criticality, McTask, TaskSet, as_fraction
 
 # Average-utilization bands used by the bundled experiments, keyed by their
 # upper edge at width 0.01.
@@ -49,7 +49,8 @@ class GenParams:
             [C_L, rc * C_L].
         ph: Probability that a task is high-criticality.
         cl_range: Range (inclusive) for the optimistic execution draw.
-        t_max: Upper bound (inclusive) of the period draw.
+        t_max: Upper bound (inclusive) of the period draw; at least the
+            largest WCET draw, since a period is never shorter than its WCET.
         seed: Root seed; every restart attempt derives its own stream.
         resolution: Ticks per time unit for all draws.
         max_restarts: Attempt budget before GenerationTimeout.
@@ -81,6 +82,12 @@ class GenParams:
         if self.resolution < 1:
             raise ValueError(
                 f"resolution must be at least 1, got {self.resolution}")
+        inflated = self.ph > 0 or self.inflate_lc
+        max_wcet = self.cl_range[1] * (self.rc if inflated else 1)
+        if self.t_max < max_wcet:
+            raise ValueError(
+                f"t_max must be at least the largest WCET draw {max_wcet}, "
+                f"got {self.t_max}")
 
 
 RngLike = Union[int, np.random.SeedSequence, np.random.Generator, None]

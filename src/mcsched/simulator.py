@@ -1,20 +1,23 @@
 """Deterministic discrete-event simulation of dual-criticality EDF policies.
 
-Three preemptive uniprocessor policies share one event loop:
+Every policy runs in one preemptive uniprocessor event loop and states two
+rules, nothing else:
 
-* ``EdfUvdMeba``: in the nominal mode every task runs against a shrunk
-  virtual deadline ``r + x * T``; an LC job falls back to its original
-  deadline once it has executed ``alpha_i * C_i``.  HC budgets are granted
-  dynamically from a shared pool (:mod:`mcsched.meba`) and an exhaustion
-  degrades the system for the rest of the busy interval.  In the degraded
-  mode LC service is capped at ``alpha_i * C_i`` per job.
-* ``EdfVdStatic``: the classic static baseline.  Only HC tasks get virtual
-  deadlines; per-job nominal budgets are the fixed ``lc_estimate`` values;
-  at a degradation all pending LC jobs are discarded and LC releases are
-  rejected until the processor idles.
-* ``FixedBudget``: identical scheduling to ``EdfUvdMeba`` but with a constant
-  per-job budget vector instead of the dynamic pool, which isolates the
-  effect of the allocation policy on the degradation instant.
+* ``hc_budgets(ts)``: ``None`` grants each HC job its nominal budget at
+  dispatch from a shared pool (:mod:`mcsched.meba`); otherwise it is a
+  fixed per-job ``{task id: budget}`` dict, and a missing id gets 0.
+* ``lc_cap(task)``: the execution an LC job keeps once the system degrades.
+
+In the nominal mode a task runs against the virtual deadline ``r + x * T``
+unless its LC cap is 0, and an LC job falls back to its original deadline
+once it has executed its cap.  An HC job that exhausts its budget degrades
+the system until the processor idles: pending jobs fall back to their
+original deadlines and LC jobs are cut to their caps, so a zero cap drops
+them and refuses their releases.  ``EdfUvdMeba`` (pool budgets, caps
+``alpha_i * C_i``) is the design under study; ``FixedBudget`` swaps the
+pool for a constant vector to isolate the allocation policy's effect on the
+degradation instant; ``EdfVdStatic`` is the EDF-VD baseline (Baruah et al.,
+ECRTS 2012) with ``lc_estimate`` budgets and zero caps.
 
 Ties between equal effective deadlines are broken by (task id, job sequence
 number).  A processor idle instant ends the busy interval and returns the
@@ -26,14 +29,13 @@ from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import BudgetSumViolation, InputError, InvalidJobSequence
 from .meba import MebaState, Mode
 from .taskmodel import (
-    Criticality,
     McTask,
     TaskSet,
     Time,
@@ -92,35 +94,55 @@ class TraceEvent:
     snapshot: tuple[tuple[int, Time], ...] | None = None
 
 
+def _alpha_cap(task: McTask) -> Time:
+    return task.alpha * task.wcet
+
+
 @dataclass(frozen=True)
 class EdfUvdMeba:
+    """HC budgets from a pool of ``beta_star * U_H``; LC caps ``alpha * C``."""
+
     beta_star: Fraction
 
     def __post_init__(self):
         object.__setattr__(self, "beta_star", as_fraction(self.beta_star, "beta_star"))
 
+    def hc_budgets(self, ts: TaskSet) -> None:
+        return None
+
+    lc_cap = staticmethod(_alpha_cap)
+
 
 @dataclass(frozen=True)
 class EdfVdStatic:
-    pass
+    """EDF-VD: HC budgets are the ``lc_estimate`` values; no degraded LC service."""
+
+    def hc_budgets(self, ts: TaskSet) -> dict[int, Time]:
+        for t in ts.hc_tasks:
+            if t.lc_estimate is None:
+                raise ValueError(f"static policy needs lc_estimate on HC task {t.id}")
+        return {t.id: t.lc_estimate for t in ts.hc_tasks}
+
+    def lc_cap(self, task: McTask) -> Time:
+        return Fraction(0)
 
 
 @dataclass(frozen=True)
 class FixedBudget:
+    """A constant per-job HC budget vector; LC caps ``alpha * C``."""
+
     budgets: tuple[tuple[int, Time], ...]
 
     def __init__(self, budgets):
         if isinstance(budgets, Mapping):
-            items = tuple(sorted((int(k), as_fraction(v, "budget")) for k, v in budgets.items()))
-        else:
-            items = tuple(sorted((int(k), as_fraction(v, "budget")) for k, v in budgets))
+            budgets = budgets.items()
+        items = tuple(sorted((int(k), as_fraction(v, "budget")) for k, v in budgets))
         object.__setattr__(self, "budgets", items)
 
-    def budget_of(self, task_id: int) -> Time:
-        for tid, b in self.budgets:
-            if tid == task_id:
-                return b
-        return Fraction(0)
+    def hc_budgets(self, ts: TaskSet) -> dict[int, Time]:
+        return dict(self.budgets)
+
+    lc_cap = staticmethod(_alpha_cap)
 
 
 Policy = Union[EdfUvdMeba, EdfVdStatic, FixedBudget]
@@ -134,13 +156,11 @@ class SimConfig:
     lie inside the admissible window reported by the analysis for the
     guarantee to hold (not enforced here so that counterexamples can be
     simulated too).  ``horizon`` bounds verification, not the run itself.
-    ``demand_model`` records how generated sequences drew their demands.
     """
 
     policy: Policy
     x: Fraction
     horizon: Time | None = None
-    demand_model: object | None = None
 
     def __post_init__(self):
         x = as_fraction(self.x, "x")
@@ -188,9 +208,6 @@ class ScheduleTrace:
             total += min(e, t) - s
         return total
 
-    def write_csv(self, path) -> None:
-        save_trace_csv(self, path)
-
 
 def mode_switch_instant(trace: ScheduleTrace) -> Time | None:
     """Time of the first degradation in the trace, or None."""
@@ -237,14 +254,14 @@ class _Run:
     __slots__ = ("job", "task", "deadline", "eff", "consumed", "limit", "cap",
                  "demoted", "budget")
 
-    def __init__(self, job: Job, task: McTask):
+    def __init__(self, job: Job, task: McTask, cap: Time | None):
         self.job = job
         self.task = task
         self.deadline = job.release + task.period
         self.eff = self.deadline
         self.consumed = Fraction(0)
         self.limit = job.demand
-        self.cap = task.alpha * task.wcet if task.is_lc else None
+        self.cap = cap
         self.demoted = False
         self.budget: Time | None = None
 
@@ -261,8 +278,7 @@ def simulate(ts: TaskSet, cfg: SimConfig, jobs: Sequence[Job], *,
     horizon cutoff), so traces from overloaded scenarios terminate too.
 
     Args:
-        ts: Task set; LC tasks contribute their ``alpha`` caps, HC tasks
-            their budgets (policy dependent).
+        ts: Task set; the policy derives the LC caps and HC budgets from it.
         cfg: Policy, deadline factor and optional verification horizon.
         jobs: Released jobs; validated for sporadic separation first.
         stop_after_switch: Stop right after the first degradation (used by
@@ -277,14 +293,9 @@ def simulate(ts: TaskSet, cfg: SimConfig, jobs: Sequence[Job], *,
     tasks = {t.id: t for t in ts.tasks}
     policy = cfg.policy
     x = cfg.x
-    uvd = isinstance(policy, EdfUvdMeba)
-    static = isinstance(policy, EdfVdStatic)
-    fixed = isinstance(policy, FixedBudget)
-    if static:
-        for t in ts.hc_tasks:
-            if t.lc_estimate is None:
-                raise ValueError(f"static policy needs lc_estimate on HC task {t.id}")
-    meba = MebaState.for_taskset(ts, policy.beta_star) if uvd else None
+    caps = {t.id: policy.lc_cap(t) for t in ts.lc_tasks}
+    budgets = policy.hc_budgets(ts)
+    meba = MebaState.for_taskset(ts, policy.beta_star) if budgets is None else None
 
     events: list[TraceEvent] = []
     mode = Mode.LC
@@ -304,51 +315,44 @@ def simulate(ts: TaskSet, cfg: SimConfig, jobs: Sequence[Job], *,
 
     def admit(job: Job):
         task = tasks[job.task]
-        run = _Run(job, task)
+        run = _Run(job, task, caps.get(task.id))
         if task.is_lc:
             if mode is Mode.HC:
-                if static or run.cap == 0:
-                    # No nominal service left to honour; reject outright.
+                if run.cap == 0:
+                    # No degraded service to honour; reject outright.
                     emit(EventKind.DROP, now, run, detail="served=0")
                     return
                 run.limit = min(job.demand, run.cap)
                 run.demoted = True
+            elif run.cap > 0:
+                run.eff = job.release + x * task.period
             else:
-                if not static and task.alpha > 0:
-                    run.eff = job.release + x * task.period
-                else:
-                    run.demoted = True
+                run.demoted = True
         else:
             if mode is Mode.LC:
                 run.eff = job.release + x * task.period
-            if static:
-                run.budget = task.lc_estimate
-            elif fixed:
-                run.budget = policy.budget_of(task.id)
+            if meba is None:
+                run.budget = budgets.get(task.id, Fraction(0))
         ready.append(run)
 
     def degrade(t: Time, trigger: _Run):
         nonlocal mode
-        if uvd:
+        snapshot = None
+        if meba is not None:
             info = meba.on_budget_exhausted(trigger.task.id, t)
             snapshot = tuple(sorted(info.e_m.items()))
-        else:
-            snapshot = None
         emit(EventKind.MODE_SWITCH, t, trigger,
              detail=f"trigger={trigger.task.id}", snapshot=snapshot)
         mode = Mode.HC
         for run in list(ready):
             run.eff = run.deadline
-            run.budget = None if run.task.is_hc else run.budget
-            if run.task.is_lc:
-                if static:
-                    emit(EventKind.DROP, t, run, detail=f"served={run.consumed}")
-                    ready.remove(run)
-                elif run.consumed >= run.cap:
-                    emit(EventKind.DROP, t, run, detail=f"served={run.consumed}")
-                    ready.remove(run)
-                else:
-                    run.limit = min(run.limit, run.cap)
+            if run.task.is_hc:
+                run.budget = None
+            elif run.consumed >= run.cap:
+                emit(EventKind.DROP, t, run, detail=f"served={run.consumed}")
+                ready.remove(run)
+            else:
+                run.limit = min(run.limit, run.cap)
 
     while True:
         while i < len(ordered) and ordered[i].release == now:
@@ -372,12 +376,12 @@ def simulate(ts: TaskSet, cfg: SimConfig, jobs: Sequence[Job], *,
         if nxt is not running:
             if running is not None:
                 emit(EventKind.PREEMPT, now, running)
-                if uvd and mode is Mode.LC and running.task.is_hc:
+                if meba is not None and mode is Mode.LC and running.task.is_hc:
                     meba.on_preempt_or_complete(running.task.id, running.consumed)
             running = nxt
             emit(EventKind.DISPATCH, now, running)
             if mode is Mode.LC and running.task.is_hc:
-                if uvd:
+                if meba is not None:
                     running.budget = meba.on_dispatch(running.task.id)
                 if running.budget is not None and running.budget <= running.consumed:
                     # Nothing left to grant an incomplete job: degrade now.
@@ -408,7 +412,7 @@ def simulate(ts: TaskSet, cfg: SimConfig, jobs: Sequence[Job], *,
                 emit(EventKind.COMPLETE, now, running)
             else:
                 emit(EventKind.DROP, now, running, detail=f"served={running.consumed}")
-            if uvd and mode is Mode.LC and running.task.is_hc:
+            if meba is not None and mode is Mode.LC and running.task.is_hc:
                 meba.on_preempt_or_complete(running.task.id, running.consumed)
             ready.remove(running)
             running = None
@@ -568,21 +572,18 @@ def edf_dispatch_violations(ts: TaskSet, cfg: SimConfig, trace: ScheduleTrace
     an independent audit of the scheduler's priority order.
     """
     tasks = {t.id: t for t in ts.tasks}
-    static = isinstance(cfg.policy, EdfVdStatic)
-    segs = trace.service_segments()
+    # read from the policy's declared rule, never from scheduler state
+    zero_cap = {t.id for t in ts.lc_tasks if cfg.policy.lc_cap(t) == 0}
     timeline = _mode_timeline(trace)
 
     closed_at: dict[tuple[int, int], Time] = {}
     demote_at: dict[tuple[int, int], Time] = {}
-    dropped_at: dict[tuple[int, int], Time] = {}
     for ev in trace.events:
         if ev.task is None:
             continue
         key = (ev.task, ev.job)
         if ev.kind in (EventKind.COMPLETE, EventKind.DROP):
             closed_at[key] = ev.time
-            if ev.kind is EventKind.DROP:
-                dropped_at[key] = ev.time
         elif ev.kind is EventKind.DEADLINE_CHANGE:
             demote_at[key] = ev.time
 
@@ -591,15 +592,10 @@ def edf_dispatch_violations(ts: TaskSet, cfg: SimConfig, trace: ScheduleTrace
         deadline = job.release + task.period
         release_mode = _mode_at(timeline, job.release)
         virtual = job.release + cfg.x * task.period
-        if task.is_hc:
-            base = virtual if release_mode is Mode.LC else deadline
+        if job.task in zero_cap or release_mode is Mode.HC:
+            base = deadline
         else:
-            if static or task.alpha == 0:
-                base = deadline
-            elif release_mode is Mode.HC:
-                base = deadline
-            else:
-                base = virtual
+            base = virtual
         key = (job.task, job.seq)
         if key in demote_at and t >= demote_at[key]:
             base = deadline
@@ -701,7 +697,7 @@ def _occupancy(trace: ScheduleTrace, origin_of: Mapping[int, int],
 
 
 def map_jobs_to_static(ts: TaskSet, jobs: Sequence[Job], t_star: Time | None
-                       ) -> tuple[tuple[Job, ...], dict[tuple[int, int], tuple[int, int]]]:
+                       ) -> tuple[Job, ...]:
     """Split a job sequence along the static task derivation.
 
     HC jobs keep their demand on the derived task ``2 * task``.  An LC job
@@ -709,35 +705,23 @@ def map_jobs_to_static(ts: TaskSet, jobs: Sequence[Job], t_star: Time | None
     head ``min(demand, alpha * C)`` on ``2 * task`` and the remainder on
     ``2 * task + 1``; a job released at or after the degradation only keeps
     its capped head.  Zero-demand parts are omitted and sequence numbers are
-    renumbered per derived task.
-
-    Returns:
-        (mapped jobs, back-reference from mapped (task, seq) to the original).
+    renumbered per derived task, as :func:`make_jobs` numbers them.
     """
     tasks = {t.id: t for t in ts.tasks}
-    entries: list[tuple[int, Time, Time, int]] = []
+    entries: list[tuple[int, Time, Time]] = []
     for job in jobs:
         task = tasks[job.task]
         if task.is_hc:
-            entries.append((2 * job.task, job.release, job.demand, job.seq))
+            entries.append((2 * job.task, job.release, job.demand))
             continue
-        cap = task.alpha * task.wcet
-        head = min(job.demand, cap)
+        head = min(job.demand, _alpha_cap(task))
         if head > 0:
-            entries.append((2 * job.task, job.release, head, job.seq))
+            entries.append((2 * job.task, job.release, head))
         if t_star is None or job.release < t_star:
             tail = job.demand - head
             if tail > 0:
-                entries.append((2 * job.task + 1, job.release, tail, job.seq))
-    mapped: list[Job] = []
-    back: dict[tuple[int, int], tuple[int, int]] = {}
-    counters: dict[int, int] = {}
-    for sid, release, demand, orig_seq in sorted(entries, key=lambda m: (m[1], m[0])):
-        seq = counters.get(sid, 0)
-        counters[sid] = seq + 1
-        mapped.append(Job(sid, release, demand, seq))
-        back[(sid, seq)] = (sid // 2, orig_seq)
-    return tuple(mapped), back
+                entries.append((2 * job.task + 1, job.release, tail))
+    return make_jobs(entries)
 
 
 def check_mapping_equivalence(ts: TaskSet, alphas, x, jobs: Sequence[Job], *,
@@ -779,7 +763,7 @@ def check_mapping_equivalence(ts: TaskSet, alphas, x, jobs: Sequence[Job], *,
     derived = map_to_static(ts_dyn, per_task_alpha, e_m, x)
     origin_of = {st.id: st.origin for st in derived}
     ts_static = TaskSet(tuple(st.as_mc_task() for st in derived))
-    mapped_jobs, _back = map_jobs_to_static(ts_dyn, trace_dyn.jobs, t_star)
+    mapped_jobs = map_jobs_to_static(ts_dyn, trace_dyn.jobs, t_star)
 
     cfg_static = SimConfig(EdfVdStatic(), x)
     trace_static = simulate(ts_static, cfg_static, mapped_jobs)

@@ -93,6 +93,12 @@ def test_max_alpha_for_generated_style_sets():
         taskset_with_utilizations(F(0), F(3, 4))) == 1.0
     assert max_alpha_for_generated_set(
         taskset_with_utilizations(F(3, 4), F(0))) == 1.0
+    # estimates equal to the WCETs leave beta = 1 and no LC service
+    full = TaskSet((
+        McTask(1, F(1), F(3, 5), Criticality.LC),
+        McTask(2, F(1), F(1, 2), Criticality.HC, lc_estimate=F(1, 2)),
+    ))
+    assert max_alpha_for_generated_set(full) == 0.0
 
 
 # ---- randomized scenario factory ----
@@ -223,8 +229,7 @@ def test_cli_gen_writes_loadable_sets(tmp_path, capsys):
         assert len(ts.tasks) >= 1
     rc = main(["gen", "--band", "1/10:2/10", "--out", str(tmp_path)])
     assert rc == 0
-    with pytest.raises(SystemExit):
-        main(["gen", "--band", "nonsense", "--out", str(tmp_path)])
+    assert main(["gen", "--band", "nonsense", "--out", str(tmp_path)]) == 2
 
 
 def test_cli_prob_matches_oracles(tmp_path, capsys):
@@ -288,6 +293,27 @@ def test_cli_malformed_taskset_exit_code(tmp_path, capsys):
     path.write_text("taskset v1\n1 10 5\n")
     assert main(["analyze", "--taskset", str(path)]) == 2
     assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--band", "nonsense"], "unknown band 'nonsense'"),
+    (["simulate", "--taskset", "{set}", "--x", "1/2"], "needs --beta-star"),
+    (["simulate", "--taskset", "{set}", "--policy", "fixed", "--x", "1/2"],
+     "needs --budgets"),
+    (["simulate", "--taskset", "{set}", "--policy", "vd"], "need --x"),
+    (["simulate", "--taskset", "{set}", "--policy", "vd", "--x", "1/2"],
+     "needs --horizon"),
+    (["analyze", "--u-l", "1/2"], "need --taskset"),
+    (["prob", "--n", "2", "--u", "1/10"], "got 1 utilizations for n=2"),
+])
+def test_cli_usage_errors_exit_2(tmp_path, capsys, half_four_fifths_set,
+                                 argv, message):
+    path = taskset_file(tmp_path, half_four_fifths_set)
+    argv = [arg.format(set=path) for arg in argv] + ["--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err
 
 
 def test_cli_gen_rejects_an_inverted_band(tmp_path, capsys):

@@ -159,6 +159,9 @@ def test_params_validation():
     for resolution in (0, -100):
         with pytest.raises(ValueError, match="resolution"):
             GenParams(band=BANDS[0], resolution=resolution)
+    # rc * cl_range[1] = 30 here; a period draw on [C, 2] cannot exist
+    with pytest.raises(ValueError, match="t_max"):
+        GenParams(band=BANDS[0], t_max=2)
     GenParams(band=BANDS[0], cl_range=(1, 1), resolution=1)
 
 
