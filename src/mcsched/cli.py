@@ -66,6 +66,14 @@ from .simulator import (
 from .taskmodel import TaskSet, load_taskset, save_taskset, utilizations
 
 
+def _frac_list(text: str, option: str) -> list[Fraction]:
+    try:
+        return [Fraction(item) for item in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"{option} {text!r}: not a comma-separated list "
+                         "of rational numbers") from None
+
+
 def _frac(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -85,7 +93,10 @@ def _load_or_synthesize(args) -> TaskSet:
         return load_taskset(args.taskset)
     if args.u_l is None or args.u_h is None:
         raise InputError("analyze: need --taskset or both --u-l and --u-h")
-    return taskset_with_utilizations(args.u_l, args.u_h)
+    try:
+        return taskset_with_utilizations(args.u_l, args.u_h)
+    except ValueError as exc:
+        raise InputError(f"analyze: --u-l/--u-h: {exc}") from None
 
 
 def _cmd_analyze(args) -> int:
@@ -129,9 +140,13 @@ def _cmd_analyze(args) -> int:
 
 def _parse_budgets(text: str) -> dict[int, Fraction]:
     budgets = {}
-    for item in text.split(","):
-        tid, _, val = item.partition(":")
-        budgets[int(tid)] = Fraction(val)
+    try:
+        for item in text.split(","):
+            tid, _, val = item.partition(":")
+            budgets[int(tid)] = Fraction(val)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"simulate: --budgets {text!r}: "
+                         "use id:value,id:value") from None
     return budgets
 
 
@@ -228,11 +243,11 @@ def _cmd_prob(args) -> int:
         dist = BUILTIN_DISTRIBUTIONS[args.dist]
     else:
         dist = load_distribution(args.dist)
-    betas = [Fraction(b) for b in args.beta_star.split(",")]
+    betas = _frac_list(args.beta_star, "prob: --beta-star")
     ns = range(1, 9) if args.n is None else [args.n]
     rows = []
     for n in ns:
-        us = ([Fraction(u) for u in args.u.split(",")] if args.u
+        us = (_frac_list(args.u, "prob: --u") if args.u
               else [Fraction(1, 10)] * n)
         if len(us) != n:
             raise InputError(f"prob: got {len(us)} utilizations for n={n}")

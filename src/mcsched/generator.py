@@ -9,6 +9,12 @@ demand is an exact rational.
 Reproducibility contract: the same ``GenParams`` (including seed) always
 produce the same task set, and each restart attempt uses its own child
 stream, so the draws of earlier attempts never leak into later ones.
+``gen_taskset`` owns those attempt streams and discards them after the
+attempt, so it reads their raw 64-bit PCG64 words in batches and decodes
+them word by word exactly as ``numpy.random.Generator`` does: a set drawn
+by ``gen_taskset`` is the one ``Generator`` calls on the same stream would
+give.  ``tests/test_generator.py::test_draws_decode_like_generator`` pins
+the decoder to the installed numpy.
 """
 
 from __future__ import annotations
@@ -103,7 +109,84 @@ def _coerce_rng(rng: RngLike, fallback_seed: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng)))
 
 
-def _draw_ticks(params: GenParams, rng: np.random.Generator
+_WORDS_PER_BATCH = 32
+_U32 = 0xFFFFFFFF
+_U64 = 0xFFFFFFFFFFFFFFFF
+
+
+class _Draws:
+    """``Generator.random`` and ``Generator.integers`` on a private PCG64.
+
+    Raw words are read ahead in batches, so the bit generator is left past
+    the draws made; only a stream that is discarded afterwards may be
+    wrapped.  Decoding follows numpy's ``Generator``: a double is the top 53
+    bits of a word; a bounded integer is Lemire's multiply-and-reject draw,
+    on 32-bit halves (low half first, the high half kept for the next
+    32-bit draw, as PCG64's ``next_uint32``) when the range fits in 32
+    bits, and on whole words otherwise.
+    """
+
+    __slots__ = ("_bitgen", "_next", "_half")
+
+    def __init__(self, bitgen: np.random.BitGenerator):
+        self._bitgen = bitgen
+        self._next = iter(()).__next__
+        self._half: int | None = None
+
+    def _word(self) -> int:
+        try:
+            return self._next()
+        except StopIteration:
+            batch = self._bitgen.random_raw(_WORDS_PER_BATCH).tolist()
+            self._next = iter(batch).__next__
+            return self._next()
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        word = self._word()
+        self._half = word >> 32
+        return word & _U32
+
+    def random(self) -> float:
+        return (self._word() >> 11) * (1.0 / 9007199254740992.0)
+
+    def integers(self, low: int, high: int, endpoint: bool = False) -> int:
+        # numpy's special cases for spans of 2**32 - 1 and 2**64 - 1 avoid
+        # fixed-width overflow; on Python ints Lemire's draw gives the same
+        span = high - low if endpoint else high - low - 1
+        if 0 < span <= _U32:
+            size = span + 1
+            # _uint32 inlined: a generated task makes up to three such draws
+            half = self._half
+            if half is None:
+                word = self._word()
+                self._half = word >> 32
+                m = (word & _U32) * size
+            else:
+                self._half = None
+                m = half * size
+            if m & _U32 < size:
+                threshold = (_U32 + 1 - size) % size
+                while m & _U32 < threshold:
+                    m = self._uint32() * size
+            return low + (m >> 32)
+        if span > _U32:
+            size = span + 1
+            m = self._word() * size
+            if m & _U64 < size:
+                threshold = (_U64 + 1 - size) % size
+                while m & _U64 < threshold:
+                    m = self._word() * size
+            return low + (m >> 64)
+        if span < 0:
+            raise ValueError("low > high")
+        return low
+
+
+def _draw_ticks(params: GenParams, rng: np.random.Generator | _Draws
                 ) -> tuple[bool, int, int, int]:
     """One task's draws as ``(is_hc, C_L, C, T)`` in integer ticks."""
     res = params.resolution
@@ -148,8 +231,11 @@ def gen_taskset(params: GenParams, rng: RngLike = None) -> TaskSet:
 
     Adding a task strictly increases the average utilization, so each
     attempt terminates; attempts that overshoot the band restart with a
-    fresh child stream.  The running sum is kept as an exact integer ratio
-    of ticks, and tasks are built only for the attempt that lands.
+    fresh child stream: a PCG64 on the next child of a ``Generator``'s seed
+    sequence (what ``Generator.spawn`` gives for a PCG64 ``Generator``), or
+    on a ``(root, attempt)`` seed sequence otherwise.  The running sum is
+    kept as an exact integer ratio of ticks, and tasks are built only for
+    the attempt that lands.
 
     Raises:
         GenerationTimeout: after ``max_restarts`` failed attempts.
@@ -158,18 +244,16 @@ def gen_taskset(params: GenParams, rng: RngLike = None) -> TaskSet:
     # 2*lo <= num/den <= 2*hi, cross-multiplied
     lo_n, lo_d = 2 * lo.numerator, lo.denominator
     hi_n, hi_d = 2 * hi.numerator, hi.denominator
-    base: np.random.Generator | None = None
-    if isinstance(rng, np.random.Generator):
-        base = rng
     for attempt in range(params.max_restarts):
-        if base is not None:
-            stream = base.spawn(1)[0]
+        if isinstance(rng, np.random.Generator):
+            bitgen = np.random.PCG64(rng.bit_generator.seed_seq.spawn(1)[0])
         elif isinstance(rng, np.random.SeedSequence):
-            stream = _coerce_rng(np.random.SeedSequence(
+            bitgen = np.random.PCG64(np.random.SeedSequence(
                 entropy=rng.entropy, spawn_key=rng.spawn_key + (attempt,)))
         else:
             root = params.seed if rng is None else rng
-            stream = _coerce_rng(np.random.SeedSequence((root, attempt)))
+            bitgen = np.random.PCG64(np.random.SeedSequence((root, attempt)))
+        stream = _Draws(bitgen)
         drawn: list[tuple[bool, int, int, int]] = []
         # U_L + U_H + sum of optimistic HC bandwidths, as num / den
         num, den = 0, 1

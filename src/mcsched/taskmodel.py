@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping
 
 from .errors import InvalidFraction, NoLcTasks, TaskSetParseError
@@ -199,10 +200,25 @@ class ServiceConfig:
         return alpha_star_from_per_task(ts) == self.alpha_star
 
 
+def _ratio_sum(terms: Iterable[tuple[Fraction, Fraction]]) -> Fraction:
+    """Exact sum of the quotients ``a / b`` (all ``b > 0``) as one Fraction.
+
+    The sum is kept as an integer ratio over the running lcm of the
+    denominators, so only the result is normalized into a Fraction.
+    """
+    num, den = 0, 1
+    for a, b in terms:
+        n, d = a.numerator * b.denominator, a.denominator * b.numerator
+        g = gcd(den, d)
+        num = num * (d // g) + n * (den // g)
+        den = den // g * d
+    return Fraction(num, den)
+
+
 def utilizations(ts: TaskSet) -> tuple[Fraction, Fraction]:
     """Return (U_L, U_H), the per-class utilization sums."""
-    u_l = sum((t.utilization for t in ts.lc_tasks), Fraction(0))
-    u_h = sum((t.utilization for t in ts.hc_tasks), Fraction(0))
+    u_l = _ratio_sum((t.wcet, t.period) for t in ts.tasks if t.is_lc)
+    u_h = _ratio_sum((t.wcet, t.period) for t in ts.tasks if t.is_hc)
     return u_l, u_h
 
 
@@ -234,13 +250,11 @@ def beta_star_from_lc_estimates(ts: TaskSet) -> Fraction:
     hc = ts.hc_tasks
     if not hc:
         raise ValueError("beta_star from estimates needs HC tasks")
-    total = Fraction(0)
     for t in hc:
         if t.lc_estimate is None:
             raise ValueError(f"task {t.id} has no lc_estimate")
-        total += t.lc_estimate / t.period
-    u_h = sum((t.utilization for t in hc), Fraction(0))
-    return total / u_h
+    _, u_h = utilizations(ts)
+    return _ratio_sum((t.lc_estimate, t.period) for t in hc) / u_h
 
 
 def distribute_hc_budget_equal(ts: TaskSet, alpha_star) -> dict[int, Fraction]:

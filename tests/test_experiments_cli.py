@@ -305,6 +305,11 @@ def test_cli_malformed_taskset_exit_code(tmp_path, capsys):
      "needs --horizon"),
     (["analyze", "--u-l", "1/2"], "need --taskset"),
     (["prob", "--n", "2", "--u", "1/10"], "got 1 utilizations for n=2"),
+    (["analyze", "--u-l", "3/2", "--u-h", "1/2"], "wcet must satisfy"),
+    (["prob", "--beta-star", "abc"], "--beta-star 'abc'"),
+    (["prob", "--u", "1/10,x", "--n", "2"], "--u '1/10,x'"),
+    (["simulate", "--taskset", "{set}", "--policy", "fixed", "--budgets",
+      "2=1", "--x", "1/2"], "--budgets '2=1'"),
 ])
 def test_cli_usage_errors_exit_2(tmp_path, capsys, half_four_fifths_set,
                                  argv, message):

@@ -4,6 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcsched import (
     BANDS,
@@ -20,7 +21,7 @@ from mcsched import (
     parse_demand_model,
     validate_jobs,
 )
-from mcsched.generator import band_label
+from mcsched.generator import _Draws, band_label
 from mcsched.taskmodel import format_taskset
 
 
@@ -127,6 +128,38 @@ def golden_sets_text(kind: str) -> str:
 def test_generated_sets_match_the_golden_digest(kind):
     text = golden_sets_text(kind)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[kind]
+
+
+# Spans (high - low) covering numpy's cases of the bounded draw: no draw,
+# 32-bit Lemire (one above 2**31 rejects about half its first draws), the
+# plain 32-bit word at 2**32 - 1, and 64-bit Lemire (near 2**62 rejects
+# about a quarter).
+SPANS = (0, 1, 6, 899, 2**31 + 1, 2**32 - 2, 2**32 - 1, 2**32, 2**33 + 7,
+         2**62 + 1, 3 * 2**61)
+
+
+@given(st.integers(0, 2**64 - 1),
+       st.lists(st.one_of(st.none(),
+                          st.tuples(st.integers(-1000, 1000),
+                                    st.one_of(st.sampled_from(SPANS),
+                                              st.integers(0, 2**40)))),
+                min_size=40, max_size=120))
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_draws_decode_like_generator(seed, calls):
+    # gen_task draws through Generator, gen_taskset through _Draws; both
+    # must give the same values from the same stream, call for call.  At
+    # least 40 calls per example, so word batches refill and rejections
+    # sometimes chain past the kept half word.
+    ss = np.random.SeedSequence(seed)
+    gen = np.random.Generator(np.random.PCG64(ss))
+    draws = _Draws(np.random.PCG64(ss))
+    for call in calls:
+        if call is None:
+            assert draws.random() == gen.random()
+        else:
+            low, span = call
+            assert (draws.integers(low, low + span, endpoint=True)
+                    == gen.integers(low, low + span, endpoint=True))
 
 
 @pytest.mark.parametrize("band", [(F(1, 8), F(1, 4)), (F(1, 4), F(3, 8))])

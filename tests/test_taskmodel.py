@@ -177,3 +177,34 @@ def test_round_trip_property(rows):
                                 alpha=F(a_num, 100)))
     ts = TaskSet(tuple(tasks))
     assert parse_taskset(format_taskset(ts)) == ts
+
+
+@given(st.lists(st.tuples(st.booleans(), st.integers(1, 60),
+                          st.integers(1, 12), st.integers(1, 60),
+                          st.integers(0, 60)),
+                max_size=8))
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_class_sums_equal_plain_fraction_sums(rows):
+    # periods t/den share factors with each other and with the WCETs, so
+    # the per-task quotients arrive unreduced; either class may be empty
+    tasks = []
+    for i, (is_hc, t_num, den, c_num, e_num) in enumerate(rows, start=1):
+        period = F(t_num, den)
+        wcet = period * F(c_num, 60)
+        if is_hc:
+            tasks.append(McTask(i, period, wcet, Criticality.HC,
+                                lc_estimate=wcet * F(e_num, 60)))
+        else:
+            tasks.append(McTask(i, period, wcet, Criticality.LC))
+    ts = TaskSet(tuple(tasks))
+    u_l = sum((t.wcet / t.period for t in ts.tasks if t.is_lc), F(0))
+    u_h = sum((t.wcet / t.period for t in ts.tasks if t.is_hc), F(0))
+    got = utilizations(ts)
+    assert got == (u_l, u_h)
+    assert all(type(u) is F for u in got)
+    if ts.hc_tasks:
+        est = sum((t.lc_estimate / t.period for t in ts.hc_tasks), F(0))
+        assert beta_star_from_lc_estimates(ts) == est / u_h
+    else:
+        with pytest.raises(ValueError):
+            beta_star_from_lc_estimates(ts)
