@@ -24,7 +24,6 @@ from .errors import (
 from .taskmodel import (
     Criticality,
     McTask,
-    ServiceConfig,
     TaskSet,
     Time,
     alpha_star_from_per_task,
@@ -38,13 +37,13 @@ from .taskmodel import (
 )
 from .analysis import (
     SchedVerdict,
-    StaticMcTask,
     default_x,
     map_to_static,
     max_alpha_given_beta,
     max_beta_given_alpha,
     optimal_beta_for_su,
     static_model_su,
+    static_split,
     su_levels,
     theorem1_test,
     threshold_m,

@@ -11,6 +11,9 @@ and the virtual deadline factor ``x`` can be chosen inside a closed interval
 derived from the two classic virtual-deadline feasibility conditions.  All
 predicates are evaluated in exact rational arithmetic; only the weighted
 system-utilization objective is a float.
+
+The degraded dynamic system reduces to a static one: :func:`static_split`
+splits a task's WCET here and a job's demand in the simulator.
 """
 
 from __future__ import annotations
@@ -18,12 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping
 
 from .errors import BudgetExceedsWcet, Infeasible, InvalidFraction, NoLcTasks
 from .taskmodel import (
     Criticality,
     McTask,
     TaskSet,
+    Time,
     as_fraction,
     unit_fraction,
     utilizations,
@@ -55,27 +60,6 @@ class SchedVerdict:
     x_lo: Fraction
     x_hi: Fraction
     M: Fraction | None
-
-
-@dataclass(frozen=True)
-class StaticMcTask:
-    """A task of the derived static dual-criticality system.
-
-    ``lc_wcet`` is the optimistic nominal-mode budget (HC tasks only);
-    ``origin`` records which source task this entry was carved from.
-    """
-
-    id: int
-    period: Fraction
-    lc_wcet: Fraction | None
-    wcet: Fraction
-    criticality: Criticality
-    x: Fraction
-    origin: int
-
-    def as_mc_task(self) -> McTask:
-        return McTask(self.id, self.period, self.wcet, self.criticality,
-                      Fraction(0), self.lc_wcet)
 
 
 def threshold_m(ts: TaskSet) -> Fraction | None:
@@ -145,39 +129,35 @@ def default_x(verdict: SchedVerdict) -> Fraction:
     return verdict.x_lo
 
 
-def max_alpha_given_beta(ts: TaskSet, beta_star) -> Fraction:
-    """Largest admissible alpha_star for a fixed beta_star.
+def _max_level(ts: TaskSet, other, name: str) -> Fraction:
+    """Largest admissible service level when the other is fixed at ``other``.
 
-    Returns 1 whenever M <= 0 (the trade-off is slack), otherwise
-    clamp(1 - M / (1 - beta_star), 0, 1).
+    The trade-off (1 - alpha_star) * (1 - beta_star) >= M is symmetric: 1
+    when M <= 0 (slack), otherwise clamp(1 - M / (1 - other), 0, 1).
 
     Raises:
-        Infeasible: when M > 0 and beta_star = 1 (no LC service possible).
+        Infeasible: when M > 0 and ``other`` is 1 (no slack left).
     """
-    b = unit_fraction(beta_star, "beta_star")
+    level = unit_fraction(other, name)
     m = threshold_m(ts)
     if m is None:
         u_l, u_h = utilizations(ts)
         return Fraction(1) if u_l + u_h <= 1 else Fraction(0)
     if m <= 0:
         return Fraction(1)
-    if b == 1:
-        raise Infeasible("beta_star = 1 leaves no slack when M > 0")
-    return min(Fraction(1), max(Fraction(0), 1 - m / (1 - b)))
+    if level == 1:
+        raise Infeasible(f"{name} = 1 leaves no slack when M > 0")
+    return min(Fraction(1), max(Fraction(0), 1 - m / (1 - level)))
+
+
+def max_alpha_given_beta(ts: TaskSet, beta_star) -> Fraction:
+    """Largest admissible alpha_star for a fixed beta_star (see :func:`_max_level`)."""
+    return _max_level(ts, beta_star, "beta_star")
 
 
 def max_beta_given_alpha(ts: TaskSet, alpha_star) -> Fraction:
-    """Largest admissible beta_star for a fixed alpha_star (symmetric case)."""
-    a = unit_fraction(alpha_star, "alpha_star")
-    m = threshold_m(ts)
-    if m is None:
-        u_l, u_h = utilizations(ts)
-        return Fraction(1) if u_l + u_h <= 1 else Fraction(0)
-    if m <= 0:
-        return Fraction(1)
-    if a == 1:
-        raise Infeasible("alpha_star = 1 leaves no slack when M > 0")
-    return min(Fraction(1), max(Fraction(0), 1 - m / (1 - a)))
+    """Largest admissible beta_star for a fixed alpha_star (see :func:`_max_level`)."""
+    return _max_level(ts, alpha_star, "alpha_star")
 
 
 def su_levels(ts: TaskSet, alpha_star, beta_star) -> tuple[Fraction, Fraction]:
@@ -280,46 +260,39 @@ def static_model_su(ts: TaskSet, w: float) -> float:
     )
 
 
-def map_to_static(ts: TaskSet, alphas, e_m, x) -> list[StaticMcTask]:
+def static_split(task: McTask, amount: Time) -> tuple[tuple[int, Time], tuple[int, Time]]:
+    """Split ``amount`` of a task's execution along the static reduction.
+
+    The head ``min(amount, degraded_service)`` belongs to the derived HC
+    task ``2 * id`` and the rest to the derived LC task ``2 * id + 1``, so
+    an HC task keeps all of it on ``2 * id`` and an LC task keeps at most
+    ``alpha * C`` there.  The derived ids preserve the tie-break order.
+    """
+    head = min(amount, task.degraded_service)
+    return (2 * task.id, head), (2 * task.id + 1, amount - head)
+
+
+def map_to_static(ts: TaskSet, e_m: Mapping[int, Time]) -> TaskSet:
     """Re-express the dynamic system as a static dual-criticality task set.
 
-    Every LC task tau_i splits into an HC part carrying the guaranteed
-    alpha_i * C_i (full and optimistic budgets coincide) and an LC part
-    carrying the remainder (1 - alpha_i) * C_i.  Every HC task keeps its
-    WCET and adopts its recorded execution maximum e_m[i] as the optimistic
-    budget.  Parts with zero execution are omitted.  Derived ids are
-    2 * origin for the primary part and 2 * origin + 1 for the remainder,
-    which preserves the original tie-break order.
-
-    Args:
-        ts: Source task set.
-        alphas: Mapping of LC task id to alpha_i; None falls back to each
-            task's own ``alpha`` attribute.
-        e_m: Mapping of HC task id to its execution maximum (missing = 0).
-        x: Virtual deadline factor forwarded to every derived task.
+    Each task's WCET is split by :func:`static_split`.  An LC task's head
+    becomes an HC task whose optimistic budget equals its WCET, and its
+    remainder an LC task; an HC task keeps its WCET and adopts its recorded
+    execution maximum ``e_m[id]`` (missing = 0) as the optimistic budget.
+    Parts with zero execution are omitted.
 
     Raises:
         BudgetExceedsWcet: if some e_m[i] exceeds the task's WCET.
     """
-    x = as_fraction(x, "x")
-    out: list[StaticMcTask] = []
+    out: list[McTask] = []
     for t in ts.tasks:
-        if t.is_lc:
-            a = unit_fraction(alphas[t.id] if alphas is not None else t.alpha, "alpha")
-            guaranteed = a * t.wcet
-            if guaranteed > 0:
-                out.append(StaticMcTask(2 * t.id, t.period, guaranteed, guaranteed,
-                                        Criticality.HC, x, t.id))
-            rest = t.wcet - guaranteed
-            if rest > 0:
-                out.append(StaticMcTask(2 * t.id + 1, t.period, None, rest,
-                                        Criticality.LC, x, t.id))
-        else:
-            est = as_fraction(e_m.get(t.id, Fraction(0)) if e_m is not None else Fraction(0),
-                              "e_m")
-            if est > t.wcet:
-                raise BudgetExceedsWcet(
-                    f"task {t.id}: execution maximum {est} exceeds wcet {t.wcet}")
-            out.append(StaticMcTask(2 * t.id, t.period, est, t.wcet,
-                                    Criticality.HC, x, t.id))
-    return out
+        (head_id, head), (rest_id, rest) = static_split(t, t.wcet)
+        estimate = head if t.is_lc else as_fraction(e_m.get(t.id, Fraction(0)), "e_m")
+        if estimate > t.wcet:
+            raise BudgetExceedsWcet(
+                f"task {t.id}: execution maximum {estimate} exceeds wcet {t.wcet}")
+        if head > 0:
+            out.append(McTask(head_id, t.period, head, Criticality.HC, lc_estimate=estimate))
+        if rest > 0:
+            out.append(McTask(rest_id, t.period, rest, Criticality.LC))
+    return TaskSet(tuple(out))

@@ -19,19 +19,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    default_x,
-    optimal_beta_for_su,
-    static_model_su,
-    theorem1_test,
-    threshold_m,
-    total_system_utilization,
-)
-from .errors import Infeasible, InputError, McSchedError
+from .analysis import default_x, theorem1_test, threshold_m
+from .errors import Infeasible, InputError, InvalidFraction, McSchedError
 from .experiments import (
     EXPERIMENTS,
+    W_GRID,
     ExperimentSpec,
     run_experiment,
+    su_row,
+    survival_rows,
     taskset_with_utilizations,
     write_rows,
 )
@@ -43,12 +39,7 @@ from .generator import (
     gen_taskset,
     parse_demand_model,
 )
-from .probability import (
-    BUILTIN_DISTRIBUTIONS,
-    load_distribution,
-    p_noswitch_dynamic,
-    p_noswitch_static,
-)
+from .probability import BUILTIN_DISTRIBUTIONS, load_distribution
 from .simulator import (
     EdfUvdMeba,
     EdfVdStatic,
@@ -63,7 +54,7 @@ from .simulator import (
     validate_jobs,
     verify_mc_schedulable,
 )
-from .taskmodel import TaskSet, load_taskset, save_taskset, utilizations
+from .taskmodel import TaskSet, load_taskset, save_taskset, unit_fraction, utilizations
 
 
 def _frac_list(text: str, option: str) -> list[Fraction]:
@@ -79,6 +70,13 @@ def _frac(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _out_dir(args) -> Path:
@@ -114,23 +112,11 @@ def _cmd_analyze(args) -> int:
         else:
             status = 1
     if args.w is not None:
-        try:
-            beta_opt = optimal_beta_for_su(ts, args.w)
-            su_dyn = total_system_utilization(ts, args.w, Fraction(beta_opt))
-            su_stat = static_model_su(ts, args.w)
-            print(f"w={args.w} beta_opt={beta_opt:.6f} su_dynamic={su_dyn:.6f}"
-                  f" su_static={su_stat:.6f} ratio={su_dyn / su_stat:.6f}")
-        except McSchedError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        beta_opt, su_dyn, su_stat, ratio = su_row(ts, args.w)
+        print(f"w={args.w} beta_opt={beta_opt:.6f} su_dynamic={su_dyn:.6f}"
+              f" su_static={su_stat:.6f} ratio={ratio:.6f}")
     if args.sweep:
-        rows = []
-        for k in range(1, 51):
-            w = k / 50
-            beta_opt = optimal_beta_for_su(ts, w)
-            su_dyn = total_system_utilization(ts, w, Fraction(beta_opt))
-            su_stat = static_model_su(ts, w)
-            rows.append((w, beta_opt, su_dyn, su_stat, su_dyn / su_stat))
+        rows = [(w, *su_row(ts, w)) for w in W_GRID]
         path = _out_dir(args) / "analyze_sweep.csv"
         write_rows(path, ["w", "beta_opt", "su_dynamic", "su_static", "ratio"],
                    rows, f"mcsched {__version__} name=analyze_sweep")
@@ -162,6 +148,10 @@ def _cmd_simulate(args) -> int:
         if not args.budgets:
             raise InputError("simulate: --policy fixed needs --budgets")
         policy = FixedBudget(_parse_budgets(args.budgets))
+    try:
+        policy.hc_budgets(ts)  # rejects budgets of non-HC tasks, missing lc_estimate
+    except ValueError as exc:
+        raise InputError(f"simulate: {exc}") from None
 
     x = args.x
     if x is None:
@@ -243,19 +233,17 @@ def _cmd_prob(args) -> int:
         dist = BUILTIN_DISTRIBUTIONS[args.dist]
     else:
         dist = load_distribution(args.dist)
-    betas = _frac_list(args.beta_star, "prob: --beta-star")
+    betas = [unit_fraction(b, "prob: --beta-star")
+             for b in _frac_list(args.beta_star, "prob: --beta-star")]
     ns = range(1, 9) if args.n is None else [args.n]
-    rows = []
+    us = _frac_list(args.u, "prob: --u") if args.u else None
+    if us is not None and any(u <= 0 for u in us):
+        raise InputError(f"prob: --u {args.u!r}: utilizations must be positive")
     for n in ns:
-        us = (_frac_list(args.u, "prob: --u") if args.u
-              else [Fraction(1, 10)] * n)
-        if len(us) != n:
+        if us is not None and len(us) != n:
             raise InputError(f"prob: got {len(us)} utilizations for n={n}")
-        for beta in betas:
-            if args.model in ("s", "both"):
-                rows.append((n, float(beta), "s", p_noswitch_static(dist, n, beta)))
-            if args.model in ("d", "both"):
-                rows.append((n, float(beta), "d", p_noswitch_dynamic(dist, us, beta)))
+    models = ("s", "d") if args.model == "both" else (args.model,)
+    rows = survival_rows(dist, ns, betas, us, models)
     for row in rows:
         print(f"n={row[0]} beta={row[1]} model={row[2]} p={row[3]:.6f}")
     path = _out_dir(args) / "prob.csv"
@@ -278,9 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=1)
     common.add_argument("--out", default=None,
                         help="output directory (default $MCSCHED_OUT or ./results)")
-    common.add_argument("--trials", type=int, default=None)
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for experiments")
 
     parser = argparse.ArgumentParser(
         prog="mcsched",
@@ -322,14 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "(U_L + U_H + sum of HC C_L/T) / 2: lo:hi or a "
                         "label like 0.55")
     p.add_argument("--rc", type=int, default=3)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=positive_int, default=1)
     p.add_argument("--inflate-lc", action="store_true")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("prob", parents=[common],
                        help="degradation-avoidance probabilities")
     p.add_argument("--dist", default="table4")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=positive_int)
     p.add_argument("--beta-star", default="0.45,0.55,0.65,0.75")
     p.add_argument("--u", help="comma-separated per-task utilizations")
     p.add_argument("--model", choices=("s", "d", "both"), default="both")
@@ -338,6 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", parents=[common],
                        help="run a canned reproducible study")
     p.add_argument("name", choices=EXPERIMENTS)
+    p.add_argument("--trials", type=positive_int)
+    p.add_argument("--jobs", type=positive_int, default=1, help="worker processes")
     p.set_defaults(func=_cmd_experiment)
     return parser
 
@@ -346,7 +333,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, FileNotFoundError) as exc:
+    # Out-of-range service levels, weights and deadline factors can only
+    # come from options here, so they are usage errors too.
+    except (InputError, InvalidFraction, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except McSchedError as exc:

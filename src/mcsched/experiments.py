@@ -3,7 +3,9 @@
 Every driver derives all randomness from the experiment seed through named
 ``numpy`` seed sequences, writes one CSV per experiment (header row plus a
 comment line recording version, seed and parameters) and returns its rows,
-so reruns with the same ExperimentSpec are byte-identical.
+so reruns with the same ExperimentSpec are byte-identical.  The figure 3
+and 4 rows come from :func:`survival_rows` and :func:`su_row`, which the
+``prob`` and ``analyze`` commands print too.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import csv
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
@@ -39,7 +41,12 @@ from .generator import (
     gen_job_sequence,
     gen_taskset,
 )
-from .probability import BUILTIN_DISTRIBUTIONS, p_noswitch_dynamic, p_noswitch_static
+from .probability import (
+    BUILTIN_DISTRIBUTIONS,
+    ExecDistribution,
+    p_noswitch_dynamic,
+    p_noswitch_static,
+)
 from .simulator import (
     EdfUvdMeba,
     SimConfig,
@@ -60,6 +67,8 @@ from .taskmodel import (
 )
 
 DEFAULT_SEED = 1
+
+W_GRID = tuple(k / 50 for k in range(1, 51))
 
 
 @dataclass(frozen=True)
@@ -140,7 +149,7 @@ def run_table3_dynamic(spec: ExperimentSpec) -> list[tuple]:
     draw) plus an LC-inflated sensitivity column, and the per-cell sample
     standard deviation.
     """
-    trials = spec.trials or 1000
+    trials = 1000 if spec.trials is None else spec.trials
     cells = [(spec.seed, band_idx, rc, trials)
              for rc in (3, 4, 5) for band_idx in range(len(BANDS))]
     if spec.jobs > 1:
@@ -162,8 +171,7 @@ def figure2_grid(u_sum: Fraction = Fraction(3, 2)
     u_l_grid = [Fraction(k, 10) for k in range(10, 0, -1)
                 if 0 < u_sum - Fraction(k, 10) <= 1]
     u_l_grid = sorted(u for u in u_l_grid if u <= 1)
-    w_grid = [k / 50 for k in range(1, 51)]
-    return u_l_grid, w_grid
+    return u_l_grid, list(W_GRID)
 
 
 def run_figure2(spec: ExperimentSpec, u_sum: Fraction = Fraction(3, 2)) -> list[tuple]:
@@ -183,16 +191,29 @@ def run_figure2(spec: ExperimentSpec, u_sum: Fraction = Fraction(3, 2)) -> list[
     return rows
 
 
+def survival_rows(dist: ExecDistribution, ns: Sequence[int], betas: Sequence[Fraction],
+                  us: Sequence[Fraction] | None, models: Sequence[str]) -> list[tuple]:
+    """Rows ``(n, beta, model, p)`` of busy-interval survival probabilities.
+
+    ``model`` "s" is ``n`` identical static budgets, "d" the dynamic pool
+    over ``us`` (None: ``n`` tasks of utilization 1/10).
+    """
+    rows = []
+    for n in ns:
+        u_list = [Fraction(1, 10)] * n if us is None else us
+        for beta in betas:
+            for model in models:
+                p = (p_noswitch_static(dist, n, beta) if model == "s"
+                     else p_noswitch_dynamic(dist, u_list, beta))
+                rows.append((n, float(beta), model, p))
+    return rows
+
+
 def run_figure3(spec: ExperimentSpec) -> list[tuple]:
     """Busy-interval survival probabilities, static budgets vs dynamic pool."""
-    dist = BUILTIN_DISTRIBUTIONS["table4"]
     betas = [Fraction(45, 100), Fraction(55, 100), Fraction(65, 100), Fraction(75, 100)]
-    rows = []
-    for n in range(1, 9):
-        us = [Fraction(1, 10)] * n
-        for beta in betas:
-            rows.append((n, float(beta), "s", p_noswitch_static(dist, n, beta)))
-            rows.append((n, float(beta), "d", p_noswitch_dynamic(dist, us, beta)))
+    rows = survival_rows(BUILTIN_DISTRIBUTIONS["table4"], range(1, 9), betas, None,
+                         ("s", "d"))
     write_rows(
         Path(spec.out_dir) / "figure3.csv",
         ["n", "beta", "model", "p"],
@@ -202,19 +223,24 @@ def run_figure3(spec: ExperimentSpec) -> list[tuple]:
     return rows
 
 
+def su_row(ts: TaskSet, w: float) -> tuple[float, float, float, float]:
+    """``(beta_opt, su_dynamic, su_static, ratio)`` at weight ``w``: the dynamic
+    design at its optimal beta_star against the static baseline."""
+    beta_opt = optimal_beta_for_su(ts, w)
+    su_dyn = total_system_utilization(ts, w, Fraction(beta_opt))
+    su_static = static_model_su(ts, w)
+    return beta_opt, su_dyn, su_static, su_dyn / su_static
+
+
 def run_figure4(spec: ExperimentSpec, u_sum: Fraction = Fraction(13, 10)) -> list[tuple]:
     """Weighted utilization of the dynamic design relative to the static one."""
     u_l_grid = [Fraction(k, 100) for k in (40, 50, 65, 80, 100)
                 if 0 < u_sum - Fraction(k, 100) <= 1]
-    w_grid = [k / 50 for k in range(1, 51)]
     rows = []
     for u_l in u_l_grid:
         ts = taskset_with_utilizations(u_l, u_sum - u_l)
-        for w in w_grid:
-            beta_opt = optimal_beta_for_su(ts, w)
-            su_dyn = total_system_utilization(ts, w, Fraction(beta_opt))
-            su_static = static_model_su(ts, w)
-            rows.append((float(u_l), w, su_dyn, su_static, su_dyn / su_static))
+        for w in W_GRID:
+            rows.append((float(u_l), w, *su_row(ts, w)[1:]))
     write_rows(
         Path(spec.out_dir) / "figure4.csv",
         ["U_L", "w", "su_dynamic", "su_static", "ratio"],
@@ -271,17 +297,15 @@ def random_feasible_scenario(seed_material, *, switchy: bool = False,
             tid += 1
     ts0 = TaskSet(tuple(tasks))
 
+    # Both classes are non-empty, so M is defined.
     m = threshold_m(ts0)
-    if m is None or m <= 0:
-        cap = Fraction(1)
-        alpha_cap = Fraction(1)
-        beta = cap * Fraction(int(rng.integers(0, 100, endpoint=True)), 100)
+    if m <= 0:
+        beta = Fraction(int(rng.integers(0, 100, endpoint=True)), 100)
     else:
-        cap = 1 - m
         hi = 40 if switchy else 100
-        beta = cap * Fraction(int(rng.integers(0, hi)), 100)
-        alpha_cap = 1 - m / (1 - beta)
-    alpha_star = alpha_cap * Fraction(int(rng.integers(0, 100, endpoint=True)), 100)
+        beta = (1 - m) * Fraction(int(rng.integers(0, hi)), 100)
+    alpha_star = (max_alpha_given_beta(ts0, beta)
+                  * Fraction(int(rng.integers(0, 100, endpoint=True)), 100))
     alphas = distribute_hc_budget_equal(ts0, alpha_star)
     ts = ts0.with_alphas(alphas)
     verdict = theorem1_test(ts, alpha_star, beta)
@@ -343,7 +367,7 @@ def random_budget_vectors(ts: TaskSet, beta_star: Fraction, rng, count: int,
 def run_lemma2_fuzz(spec: ExperimentSpec, *, vectors_per_sequence: int = 20
                     ) -> list[tuple]:
     """Fixed feasible budgets must never outlast the dynamic allocation."""
-    trials = spec.trials or 200
+    trials = 200 if spec.trials is None else spec.trials
     rows = []
     for trial in range(trials):
         sc = random_feasible_scenario(
@@ -365,20 +389,18 @@ def run_lemma2_fuzz(spec: ExperimentSpec, *, vectors_per_sequence: int = 20
 
 def run_mapping_fuzz(spec: ExperimentSpec) -> list[tuple]:
     """The static reduction must replay the dynamic schedule."""
-    trials = spec.trials or 100
+    trials = 100 if spec.trials is None else spec.trials
     rows = []
     for trial in range(trials):
         sc, t_star = switch_inducing_scenario(spec.seed, trial, fine_demands=True)
-        alphas = {t.id: t.alpha for t in sc.ts.lc_tasks}
-        ok = check_mapping_equivalence(sc.ts, alphas, sc.x, sc.jobs,
-                                       beta_star=sc.beta_star)
+        ok = check_mapping_equivalence(sc.ts, None, sc.x, sc.jobs, beta_star=sc.beta_star)
         rows.append((trial, t_star, int(ok)))
     return rows
 
 
 def run_e2e_verify(spec: ExperimentSpec) -> list[tuple]:
     """Admissible systems must produce clean traces and clean accounting."""
-    trials = spec.trials or 500
+    trials = 500 if spec.trials is None else spec.trials
     rows = []
     for trial in range(trials):
         sc = random_feasible_scenario(np.random.SeedSequence((spec.seed, 4, trial)))
@@ -398,19 +420,15 @@ PROPERTY_SUITES: dict[str, Callable[[ExperimentSpec], list[tuple]]] = {
 
 
 def run_property_suites(spec: ExperimentSpec) -> int:
-    """Run one (or all) randomized suites; returns the violation count."""
-    names = [spec.name] if spec.name in PROPERTY_SUITES else list(PROPERTY_SUITES)
-    violations = 0
-    for name in names:
-        rows = PROPERTY_SUITES[name](replace(spec, name=name))
-        violations += sum(1 for row in rows if not row[-1])
-        write_rows(
-            Path(spec.out_dir) / f"{name}.csv",
-            ["trial", "t_star", "ok"],
-            rows,
-            f"mcsched {__version__} name={name} seed={spec.seed} trials={len(rows)}",
-        )
-    return violations
+    """Run the randomized suite ``spec.name``; returns its violation count."""
+    rows = PROPERTY_SUITES[spec.name](spec)
+    write_rows(
+        Path(spec.out_dir) / f"{spec.name}.csv",
+        ["trial", "t_star", "ok"],
+        rows,
+        f"mcsched {__version__} name={spec.name} seed={spec.seed} trials={len(rows)}",
+    )
+    return sum(1 for row in rows if not row[-1])
 
 
 def _checks_nothing(run: Callable[[ExperimentSpec], list[tuple]]

@@ -31,9 +31,9 @@ import csv
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .errors import BudgetSumViolation, InputError, InvalidJobSequence
+from .errors import BudgetSumViolation, InputError, InvalidFraction, InvalidJobSequence
 from .meba import MebaState, Mode
 from .taskmodel import (
     McTask,
@@ -42,7 +42,7 @@ from .taskmodel import (
     as_fraction,
     utilizations,
 )
-from .analysis import map_to_static
+from .analysis import map_to_static, static_split
 
 
 class EventKind(enum.Enum):
@@ -94,10 +94,6 @@ class TraceEvent:
     snapshot: tuple[tuple[int, Time], ...] | None = None
 
 
-def _alpha_cap(task: McTask) -> Time:
-    return task.alpha * task.wcet
-
-
 @dataclass(frozen=True)
 class EdfUvdMeba:
     """HC budgets from a pool of ``beta_star * U_H``; LC caps ``alpha * C``."""
@@ -110,7 +106,8 @@ class EdfUvdMeba:
     def hc_budgets(self, ts: TaskSet) -> None:
         return None
 
-    lc_cap = staticmethod(_alpha_cap)
+    def lc_cap(self, task: McTask) -> Time:
+        return task.degraded_service
 
 
 @dataclass(frozen=True)
@@ -129,7 +126,7 @@ class EdfVdStatic:
 
 @dataclass(frozen=True)
 class FixedBudget:
-    """A constant per-job HC budget vector; LC caps ``alpha * C``."""
+    """A constant per-job HC budget vector (non-negative, HC ids only); LC caps ``alpha * C``."""
 
     budgets: tuple[tuple[int, Time], ...]
 
@@ -140,9 +137,16 @@ class FixedBudget:
         object.__setattr__(self, "budgets", items)
 
     def hc_budgets(self, ts: TaskSet) -> dict[int, Time]:
+        hc_ids = {t.id for t in ts.hc_tasks}
+        for tid, budget in self.budgets:
+            if tid not in hc_ids:
+                raise ValueError(f"budget names task {tid}, which is not an HC task")
+            if budget < 0:
+                raise ValueError(f"task {tid}: budget must be non-negative, got {budget}")
         return dict(self.budgets)
 
-    lc_cap = staticmethod(_alpha_cap)
+    def lc_cap(self, task: McTask) -> Time:
+        return task.degraded_service
 
 
 Policy = Union[EdfUvdMeba, EdfVdStatic, FixedBudget]
@@ -165,7 +169,7 @@ class SimConfig:
     def __post_init__(self):
         x = as_fraction(self.x, "x")
         if not 0 < x <= 1:
-            raise ValueError(f"x must lie in (0, 1], got {x}")
+            raise InvalidFraction(f"x must lie in (0, 1], got {x}")
         object.__setattr__(self, "x", x)
         if self.horizon is not None:
             object.__setattr__(self, "horizon", as_fraction(self.horizon, "horizon"))
@@ -178,9 +182,6 @@ class ScheduleTrace:
     events: tuple[TraceEvent, ...]
     jobs: tuple[Job, ...]
     horizon: Time | None = None
-
-    def mode_switches(self) -> tuple[Time, ...]:
-        return tuple(e.time for e in self.events if e.kind is EventKind.MODE_SWITCH)
 
     def service_segments(self) -> dict[tuple[int, int], list[tuple[Time, Time]]]:
         """Per-job execution segments [(start, end), ...], zero-length removed."""
@@ -669,21 +670,20 @@ def check_lemma2_optimality(ts: TaskSet, beta_star, jobs: Sequence[Job],
     return True
 
 
-def _occupancy(trace: ScheduleTrace, origin_of: Mapping[int, int],
-               until: Time | None) -> dict[int, tuple[tuple[Time, Time], ...]]:
-    """Merged busy segments per original task, truncated at ``until``."""
+def _occupancy(trace: ScheduleTrace, until: Time | None, origin: Callable[[int], int]
+               ) -> dict[int, tuple[tuple[Time, Time], ...]]:
+    """Merged busy segments per ``origin(task id)``, truncated at ``until``."""
     per_task: dict[int, list[tuple[Time, Time]]] = {}
     for (task_id, _seq), segments in trace.service_segments().items():
-        origin = origin_of.get(task_id, task_id)
         for s, e in segments:
             if until is not None:
                 if s >= until:
                     continue
                 e = min(e, until)
             if e > s:
-                per_task.setdefault(origin, []).append((s, e))
+                per_task.setdefault(origin(task_id), []).append((s, e))
     merged: dict[int, tuple[tuple[Time, Time], ...]] = {}
-    for origin, segments in per_task.items():
+    for key, segments in per_task.items():
         segments.sort()
         out = [segments[0]]
         for s, e in segments[1:]:
@@ -692,7 +692,7 @@ def _occupancy(trace: ScheduleTrace, origin_of: Mapping[int, int],
                 out[-1] = (ls, max(le, e))
             else:
                 out.append((s, e))
-        merged[origin] = tuple(out)
+        merged[key] = tuple(out)
     return merged
 
 
@@ -700,27 +700,19 @@ def map_jobs_to_static(ts: TaskSet, jobs: Sequence[Job], t_star: Time | None
                        ) -> tuple[Job, ...]:
     """Split a job sequence along the static task derivation.
 
-    HC jobs keep their demand on the derived task ``2 * task``.  An LC job
-    released while the system was still nominal splits into a guaranteed
-    head ``min(demand, alpha * C)`` on ``2 * task`` and the remainder on
-    ``2 * task + 1``; a job released at or after the degradation only keeps
-    its capped head.  Zero-demand parts are omitted and sequence numbers are
+    Each job's demand is split by :func:`mcsched.analysis.static_split`:
+    the head goes to the derived task ``2 * task`` and the remainder to
+    ``2 * task + 1``.  A job released at or after the degradation only
+    keeps its head.  Zero-demand parts are omitted and sequence numbers are
     renumbered per derived task, as :func:`make_jobs` numbers them.
     """
     tasks = {t.id: t for t in ts.tasks}
     entries: list[tuple[int, Time, Time]] = []
     for job in jobs:
-        task = tasks[job.task]
-        if task.is_hc:
-            entries.append((2 * job.task, job.release, job.demand))
-            continue
-        head = min(job.demand, _alpha_cap(task))
-        if head > 0:
-            entries.append((2 * job.task, job.release, head))
-        if t_star is None or job.release < t_star:
-            tail = job.demand - head
-            if tail > 0:
-                entries.append((2 * job.task + 1, job.release, tail))
+        parts = static_split(tasks[job.task], job.demand)
+        if t_star is not None and job.release >= t_star:
+            parts = parts[:1]
+        entries.extend((tid, job.release, amount) for tid, amount in parts if amount > 0)
     return make_jobs(entries)
 
 
@@ -728,45 +720,38 @@ def check_mapping_equivalence(ts: TaskSet, alphas, x, jobs: Sequence[Job], *,
                               beta_star) -> bool:
     """Validate the reduction of the dynamic system to a static one.
 
-    Runs the dynamic policy, snapshots the execution maxima at its first
-    degradation, derives the static task set via
-    :func:`mcsched.analysis.map_to_static`, splits each job along the
-    derivation and replays the identical scenario under the static policy.
-    Equivalence requires the same degradation instant and identical
-    per-original-task busy segments up to the end of the busy interval
+    Runs the dynamic policy with the LC fractions ``alphas`` (None keeps the
+    set's own), snapshots the execution maxima at its first degradation,
+    derives the static task set via :func:`mcsched.analysis.map_to_static`,
+    splits each job along the derivation and replays the identical scenario
+    under the static policy.  Equivalence requires the same degradation
+    instant and identical per-original-task busy segments (static task
+    ``k`` belongs to task ``k // 2``) up to the end of the busy interval
     containing the switch (the static budgets are a snapshot of that
     interval, so later intervals are allowed to diverge).  Runs without a
     degradation are compared over the whole horizon using per-task global
     execution maxima.
     """
-    x = as_fraction(x, "x")
     ts_dyn = ts.with_alphas(dict(alphas)) if alphas is not None else ts
-    cfg_dyn = SimConfig(EdfUvdMeba(as_fraction(beta_star, "beta_star")), x)
-    trace_dyn = simulate(ts_dyn, cfg_dyn, jobs)
+    trace_dyn = simulate(ts_dyn, SimConfig(EdfUvdMeba(beta_star), x), jobs)
     t_star = mode_switch_instant(trace_dyn)
-    tasks = {t.id: t for t in ts_dyn.tasks}
 
     if t_star is not None:
         switch_ev = next(ev for ev in trace_dyn.events
                          if ev.kind is EventKind.MODE_SWITCH)
-        e_m = {tid: val for tid, val in (switch_ev.snapshot or ())}
+        e_m = dict(switch_ev.snapshot or ())
     else:
         # Every job ran to completion within its budget; the global per-task
         # maximum is a sound static budget for every busy interval.
         e_m = {t.id: Fraction(0) for t in ts_dyn.hc_tasks}
         for (task_id, _seq), segments in trace_dyn.service_segments().items():
-            if tasks[task_id].is_hc:
+            if task_id in e_m:
                 consumed = sum((e - s for s, e in segments), Fraction(0))
                 e_m[task_id] = max(e_m[task_id], consumed)
 
-    per_task_alpha = {t.id: t.alpha for t in ts_dyn.lc_tasks}
-    derived = map_to_static(ts_dyn, per_task_alpha, e_m, x)
-    origin_of = {st.id: st.origin for st in derived}
-    ts_static = TaskSet(tuple(st.as_mc_task() for st in derived))
     mapped_jobs = map_jobs_to_static(ts_dyn, trace_dyn.jobs, t_star)
-
-    cfg_static = SimConfig(EdfVdStatic(), x)
-    trace_static = simulate(ts_static, cfg_static, mapped_jobs)
+    trace_static = simulate(map_to_static(ts_dyn, e_m), SimConfig(EdfVdStatic(), x),
+                            mapped_jobs)
     if mode_switch_instant(trace_static) != t_star:
         return False
 
@@ -774,9 +759,8 @@ def check_mapping_equivalence(ts: TaskSet, alphas, x, jobs: Sequence[Job], *,
     if t_star is not None:
         until = next((ev.time for ev in trace_dyn.events
                       if ev.kind is EventKind.IDLE and ev.time >= t_star), None)
-    occ_dyn = _occupancy(trace_dyn, {}, until)
-    occ_static = _occupancy(trace_static, origin_of, until)
-    return occ_dyn == occ_static
+    return (_occupancy(trace_dyn, until, lambda tid: tid)
+            == _occupancy(trace_static, until, lambda tid: tid // 2))
 
 
 def load_jobs_csv(path) -> tuple[Job, ...]:

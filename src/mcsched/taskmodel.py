@@ -171,35 +171,6 @@ class TaskSet:
         return TaskSet(tuple(out))
 
 
-@dataclass(frozen=True)
-class ServiceConfig:
-    """System-wide service levels plus the virtual deadline factor.
-
-    ``alpha_star`` is the utilization-weighted mean of the per-task LC service
-    fractions; ``beta_star`` scales the HC bandwidth pool reserved in the
-    nominal mode; ``x`` shrinks deadlines in the nominal mode.
-    """
-
-    alpha_star: Fraction
-    beta_star: Fraction
-    x: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha_star", unit_fraction(self.alpha_star, "alpha_star"))
-        object.__setattr__(self, "beta_star", unit_fraction(self.beta_star, "beta_star"))
-        x = as_fraction(self.x, "x")
-        if not 0 < x <= 1:
-            raise InvalidFraction(f"x must lie in (0, 1], got {x}")
-        object.__setattr__(self, "x", x)
-
-    def consistent_with(self, ts: TaskSet) -> bool:
-        """True when the per-task alphas aggregate exactly to ``alpha_star``."""
-        u_l, _ = utilizations(ts)
-        if u_l == 0:
-            return True
-        return alpha_star_from_per_task(ts) == self.alpha_star
-
-
 def _ratio_sum(terms: Iterable[tuple[Fraction, Fraction]]) -> Fraction:
     """Exact sum of the quotients ``a / b`` (all ``b > 0``) as one Fraction.
 
@@ -294,10 +265,6 @@ def distribute_hc_budget_equal(ts: TaskSet, alpha_star) -> dict[int, Fraction]:
     return result
 
 
-def _format_frac(value: Fraction) -> str:
-    return str(value)
-
-
 def format_taskset(ts: TaskSet) -> str:
     """Serialize a task set to the line-oriented ``taskset v1`` format.
 
@@ -307,12 +274,12 @@ def format_taskset(ts: TaskSet) -> str:
     """
     lines = [TASKSET_HEADER]
     for t in ts.tasks:
-        fields = [str(t.id), _format_frac(t.period), _format_frac(t.wcet), t.criticality.value]
+        fields = [str(t.id), str(t.period), str(t.wcet), t.criticality.value]
         if t.lc_estimate is not None:
-            fields.append(_format_frac(t.alpha))
-            fields.append(_format_frac(t.lc_estimate))
+            fields.append(str(t.alpha))
+            fields.append(str(t.lc_estimate))
         elif t.alpha != 0:
-            fields.append(_format_frac(t.alpha))
+            fields.append(str(t.alpha))
         lines.append(" ".join(fields))
     return "\n".join(lines) + "\n"
 

@@ -18,6 +18,7 @@ from mcsched import (
     max_beta_given_alpha,
     optimal_beta_for_su,
     static_model_su,
+    static_split,
     su_levels,
     theorem1_test,
     threshold_m,
@@ -181,44 +182,45 @@ def test_theorem1_monotone(ul_pct, uh_pct, a1, a2, b1, b2):
 def test_map_to_static_lc_split():
     ts = TaskSet((McTask(1, F(10), F(4), Criticality.LC, alpha=F(1, 2)),
                   McTask(2, F(10), F(4), Criticality.HC)))
-    parts = map_to_static(ts, None, {2: F(1)}, F(2, 5))
+    parts = map_to_static(ts, {2: F(1)})
     by_id = {p.id: p for p in parts}
-    assert by_id[2].lc_wcet == F(2) and by_id[2].wcet == F(2)
+    assert by_id[2].lc_estimate == F(2) and by_id[2].wcet == F(2)
     assert by_id[2].criticality is Criticality.HC
     assert by_id[3].wcet == F(2) and by_id[3].criticality is Criticality.LC
-    assert by_id[4].lc_wcet == F(1) and by_id[4].wcet == F(4)
+    assert by_id[3].lc_estimate is None
+    assert by_id[4].lc_estimate == F(1) and by_id[4].wcet == F(4)
     assert all(p.period == F(10) for p in parts)
-    assert {p.origin for p in parts} == {1, 2}
+    assert {p.id // 2 for p in parts} == {1, 2}
+    assert static_split(ts.task(1), F(3)) == ((2, F(2)), (3, F(1)))
+    assert static_split(ts.task(2), F(3)) == ((4, F(3)), (5, F(0)))
 
 
 def test_map_to_static_degenerate_parts():
     ts = TaskSet((McTask(1, F(10), F(4), Criticality.LC, alpha=F(1)),
                   McTask(2, F(10), F(4), Criticality.HC)))
-    parts = map_to_static(ts, None, {}, F(2, 5))  # missing e_m -> 0
+    parts = map_to_static(ts, {})  # missing e_m -> 0
     ids = {p.id for p in parts}
     assert ids == {2, 4}  # the (1-alpha) LC remainder is dropped at alpha=1
-    assert next(p for p in parts if p.id == 4).lc_wcet == F(0)
+    assert parts.task(4).lc_estimate == F(0)
 
 
 def test_map_to_static_budget_cap():
     ts = TaskSet((McTask(1, F(10), F(4), Criticality.HC),))
     with pytest.raises(BudgetExceedsWcet):
-        map_to_static(ts, None, {1: F(5)}, F(2, 5))
+        map_to_static(ts, {1: F(5)})
 
 
 def test_map_to_static_utilization_sums(contrast_set):
     # proof-level invariants of the mapped system
-    alphas = {t.id: t.alpha for t in contrast_set.lc_tasks}
     e_m = {3: F(1)}
-    parts = map_to_static(contrast_set, alphas, e_m, F(3, 5))
+    parts = map_to_static(contrast_set, e_m)
     u_l = sum(t.utilization for t in contrast_set.lc_tasks)
     u_h = sum(t.utilization for t in contrast_set.hc_tasks)
-    alpha_star = sum(a * contrast_set.task(i).utilization
-                     for i, a in alphas.items()) / u_l
-    lc_parts = [p for p in parts if p.criticality is Criticality.LC]
-    hc_parts = [p for p in parts if p.criticality is Criticality.HC]
+    alpha_star = sum(t.alpha * t.utilization for t in contrast_set.lc_tasks) / u_l
+    lc_parts = parts.lc_tasks
+    hc_parts = parts.hc_tasks
     assert sum(p.wcet / p.period for p in lc_parts) == u_l * (1 - alpha_star)
     assert sum(p.wcet / p.period for p in hc_parts) == u_h + u_l * alpha_star
     beta_pool = sum(e_m[t.id] / t.period for t in contrast_set.hc_tasks)
-    assert (sum(p.lc_wcet / p.period for p in hc_parts)
+    assert (sum(p.lc_estimate / p.period for p in hc_parts)
             == beta_pool + u_l * alpha_star)

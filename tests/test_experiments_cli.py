@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -218,6 +219,15 @@ def test_cli_simulate_static_policy(tmp_path, capsys, half_four_fifths_set):
     assert rc == 0
 
 
+def test_cli_static_policy_needs_estimates(tmp_path, capsys, half_four_fifths_set):
+    ts = TaskSet(tuple(replace(t, lc_estimate=None) for t in half_four_fifths_set))
+    path = taskset_file(tmp_path, ts)
+    rc = main(["simulate", "--taskset", path, "--policy", "vd",
+               "--x", "2/5", "--horizon", "10"])
+    assert rc == 2
+    assert_one_error_line(capsys)
+
+
 def test_cli_gen_writes_loadable_sets(tmp_path, capsys):
     rc = main(["gen", "--band", "0.70", "--count", "2", "--seed", "3",
                "--out", str(tmp_path)])
@@ -310,6 +320,18 @@ def test_cli_malformed_taskset_exit_code(tmp_path, capsys):
     (["prob", "--u", "1/10,x", "--n", "2"], "--u '1/10,x'"),
     (["simulate", "--taskset", "{set}", "--policy", "fixed", "--budgets",
       "2=1", "--x", "1/2"], "--budgets '2=1'"),
+    (["prob", "--beta-star", "3/2"], "--beta-star must lie in [0, 1], got 3/2"),
+    (["analyze", "--taskset", "{set}", "--alpha-star", "2", "--beta-star", "1/2"],
+     "alpha_star must lie in [0, 1], got 2"),
+    (["analyze", "--taskset", "{set}", "--w", "2"], "w must lie in [0, 1], got 2.0"),
+    (["analyze", "--taskset", "{set}", "--w", "nan"], "w must lie in [0, 1], got nan"),
+    (["prob", "--u", "0,1/10", "--n", "2"], "utilizations must be positive"),
+    (["simulate", "--taskset", "{set}", "--policy", "vd", "--x", "3/2",
+      "--horizon", "10"], "x must lie in (0, 1], got 3/2"),
+    (["simulate", "--taskset", "{set}", "--policy", "fixed", "--budgets",
+      "9:1", "--x", "1/2", "--horizon", "10"], "task 9, which is not an HC task"),
+    (["simulate", "--taskset", "{set}", "--policy", "fixed", "--budgets",
+      "2:-1", "--x", "1/2", "--horizon", "10"], "budget must be non-negative"),
 ])
 def test_cli_usage_errors_exit_2(tmp_path, capsys, half_four_fifths_set,
                                  argv, message):
@@ -319,6 +341,25 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, half_four_fifths_set,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["prob", "--n", "0"], "argument --n: must be a positive integer, got 0"),
+    (["prob", "--n", "-1"], "argument --n: must be a positive integer, got -1"),
+    (["gen", "--band", "0.55", "--count", "0"], "argument --count: must be"),
+    (["experiment", "e2e_verify", "--trials", "0"], "argument --trials: must be"),
+    (["experiment", "table3_dynamic", "--trials", "-3"], "argument --trials: must be"),
+    (["experiment", "figure2", "--jobs", "0"], "argument --jobs: must be"),
+    (["experiment", "figure2", "--jobs", "two"], "argument --jobs: invalid"),
+    (["prob", "--trials", "5"], "unrecognized arguments: --trials 5"),
+    (["analyze", "--u-l", "1/2", "--u-h", "1/2", "--jobs", "2"],
+     "unrecognized arguments: --jobs 2"),
+])
+def test_cli_counts_are_positive_and_only_on_experiment(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_gen_rejects_an_inverted_band(tmp_path, capsys):

@@ -96,6 +96,20 @@ def test_fixed_unit_budgets_switch_at_one(half_four_fifths_set):
     assert mode_switch_instant(trace) == F(1)
 
 
+def test_fixed_budgets_must_be_non_negative(half_four_fifths_set):
+    with pytest.raises(ValueError, match="non-negative"):
+        FixedBudget({2: F(-1)}).hc_budgets(half_four_fifths_set)
+    assert FixedBudget({2: F(0)}).hc_budgets(half_four_fifths_set) == {2: F(0)}
+
+
+def test_fixed_budgets_must_name_hc_tasks(half_four_fifths_set):
+    jobs = make_jobs([(2, F(0), F(1))])
+    for budgets in ({1: F(1)}, {9: F(1)}):  # an LC task, a missing task
+        cfg = SimConfig(FixedBudget(budgets), F(2, 5))
+        with pytest.raises(ValueError, match="not an HC task"):
+            simulate(half_four_fifths_set, cfg, jobs)
+
+
 def test_simulation_is_deterministic(half_four_fifths_set):
     jobs = make_jobs([(1, F(0), F(5)), (2, F(0), F(105, 100)),
                       (3, F(0), F(96, 100))])

@@ -16,7 +16,7 @@ from mcsched import (
     distribute_hc_budget_equal,
     utilizations,
 )
-from mcsched.taskmodel import ServiceConfig, format_taskset, parse_taskset
+from mcsched.taskmodel import format_taskset, parse_taskset
 
 
 def test_as_fraction_accepts_int_and_fraction():
@@ -134,13 +134,6 @@ def test_distribute_matches_water_level(n_lc, a_num, salt):
     for t in ts.lc_tasks:
         if got[t.id] < 1:  # unclamped tasks carry equal mass = the level
             assert abs(got[t.id] * t.utilization - level) < F(1, 10**9)
-
-
-def test_service_config_validation(half_four_fifths_set):
-    cfg = ServiceConfig(F(0), F(1, 4), F(2, 5))
-    assert cfg.consistent_with(half_four_fifths_set)
-    with pytest.raises(InvalidFraction):
-        ServiceConfig(F(0), F(1, 4), F(0))  # x in (0, 1]
 
 
 def test_format_parse_round_trip(half_four_fifths_set, contrast_set):
