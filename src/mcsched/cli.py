@@ -237,11 +237,14 @@ def _cmd_prob(args) -> int:
              for b in _frac_list(args.beta_star, "prob: --beta-star")]
     ns = range(1, 9) if args.n is None else [args.n]
     us = _frac_list(args.u, "prob: --u") if args.u else None
-    if us is not None and any(u <= 0 for u in us):
-        raise InputError(f"prob: --u {args.u!r}: utilizations must be positive")
-    for n in ns:
-        if us is not None and len(us) != n:
-            raise InputError(f"prob: got {len(us)} utilizations for n={n}")
+    if us is not None:
+        if any(u <= 0 for u in us):
+            raise InputError(f"prob: --u {args.u!r}: utilizations must be positive")
+        if args.n is None:
+            raise InputError(f"prob: --u needs a matching --n (got {len(us)} "
+                             "utilizations)")
+        if len(us) != args.n:
+            raise InputError(f"prob: got {len(us)} utilizations for n={args.n}")
     models = ("s", "d") if args.model == "both" else (args.model,)
     rows = survival_rows(dist, ns, betas, us, models)
     for row in rows:
@@ -261,13 +264,21 @@ def _cmd_experiment(args) -> int:
     return 1 if violations else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a rejected option or value as one usage error, like the commands."""
+
+    def error(self, message):
+        command = self.prog.removeprefix("mcsched").strip()
+        raise InputError(f"{command}: {message}" if command else message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=1)
     common.add_argument("--out", default=None,
                         help="output directory (default $MCSCHED_OUT or ./results)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mcsched",
         description="Mixed-criticality scheduling: analysis, simulation, studies.")
     parser.add_argument("--version", action="version",
@@ -330,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     # Out-of-range service levels, weights and deadline factors can only
     # come from options here, so they are usage errors too.

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import enum
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -53,6 +54,9 @@ class EventKind(enum.Enum):
     MODE_SWITCH = "mode_switch"
     IDLE = "idle"
     DROP = "drop"
+
+
+_CLOSES = (EventKind.PREEMPT, EventKind.COMPLETE, EventKind.DROP)
 
 
 @dataclass(frozen=True)
@@ -195,7 +199,7 @@ class ScheduleTrace:
             key = (ev.task, ev.job)
             if ev.kind is EventKind.DISPATCH:
                 open_at[key] = ev.time
-            elif ev.kind in (EventKind.PREEMPT, EventKind.COMPLETE, EventKind.DROP):
+            elif ev.kind in _CLOSES:
                 start = open_at.pop(key, None)
                 if start is not None and ev.time > start:
                     segs[key].append((start, ev.time))
@@ -441,24 +445,25 @@ class Violation:
     reason: str
 
 
-def _mode_timeline(trace: ScheduleTrace) -> list[tuple[Time, Mode]]:
-    timeline = []
+def _mode_timeline(trace: ScheduleTrace) -> tuple[list[Time], list[Mode]]:
+    """Mode-change instants (switch to HC, idle back to LC) and the new modes."""
+    times: list[Time] = []
+    modes: list[Mode] = []
     for ev in trace.events:
         if ev.kind is EventKind.MODE_SWITCH:
-            timeline.append((ev.time, Mode.HC))
+            times.append(ev.time)
+            modes.append(Mode.HC)
         elif ev.kind is EventKind.IDLE:
-            timeline.append((ev.time, Mode.LC))
-    return timeline
+            times.append(ev.time)
+            modes.append(Mode.LC)
+    return times, modes
 
 
-def _mode_at(timeline: Sequence[tuple[Time, Mode]], t: Time) -> Mode:
-    mode = Mode.LC
-    for when, m in timeline:
-        if when <= t:
-            mode = m
-        else:
-            break
-    return mode
+def _mode_at(timeline: tuple[list[Time], list[Mode]], t: Time) -> Mode:
+    """The mode set by the last change at or before ``t`` (bisected)."""
+    times, modes = timeline
+    k = bisect_right(times, t)
+    return modes[k - 1] if k else Mode.LC
 
 
 def verify_mc_schedulable(ts: TaskSet, cfg: SimConfig, trace: ScheduleTrace
@@ -474,7 +479,9 @@ def verify_mc_schedulable(ts: TaskSet, cfg: SimConfig, trace: ScheduleTrace
       deadline window, or they are released while the system is already
       degraded) owe only ``min(demand, alpha_i * C_i)``.
 
-    An empty trace is vacuously schedulable.  Returns (ok, violations).
+    Both degradation tests bisect the trace's switch and idle instants, so
+    the audit costs O(events + jobs log events).  An empty trace is
+    vacuously schedulable.  Returns (ok, violations).
     """
     tasks = {t.id: t for t in ts.tasks}
     segs = trace.service_segments()
@@ -489,7 +496,8 @@ def verify_mc_schedulable(ts: TaskSet, cfg: SimConfig, trace: ScheduleTrace
         if horizon is not None and deadline > horizon:
             continue
         served = trace.served_by(segs[(job.task, job.seq)], deadline)
-        degraded = (any(job.release <= t <= deadline for t in switch_times)
+        k = bisect_left(switch_times, job.release)
+        degraded = ((k < len(switch_times) and switch_times[k] <= deadline)
                     or _mode_at(timeline, job.release) is Mode.HC)
         if task.is_hc:
             required = job.demand
@@ -511,56 +519,95 @@ def pool_utilization_violations(ts: TaskSet, beta_star, trace: ScheduleTrace
     """Replay a dynamic-policy trace and audit the budget pool accounting.
 
     Independent of :class:`MebaState`: per-task execution maxima are
-    recomputed from the dispatch segments alone.  Within each busy interval,
-    at every event instant up to a degradation the maxima utilization must
-    stay at or below ``beta_star * U_H``; at the degradation instant it must
-    equal the pool exactly and the triggering job must be incomplete.
+    rebuilt from the trace's dispatch and close events alone.  Within each
+    busy interval, at every event instant up to a degradation the maxima
+    utilization must stay at or below ``beta_star * U_H``; at the
+    degradation instant it must equal the pool exactly and the triggering
+    job must be incomplete.
+
+    One forward pass, O(events).  It keeps each job's service in the
+    current busy interval, each HC task's maximum over closed segments
+    with their sum of ``max / T``, and the one open segment, which counts
+    ``consumed + (t - start)`` for its job at an event at time ``t``.  An
+    IDLE event resets all three.  A segment still open when the trace ends
+    (a ``stop_after_switch`` run) therefore counts too.
+
+    Trace contract, as :func:`simulate` emits it: event times never
+    decrease, and a job is dispatched only while no other job's segment is
+    open.  A trace that breaks either gets one problem line saying so, and
+    the audit stops there.
 
     Returns a list of human-readable discrepancies (empty = clean).
     """
     beta = as_fraction(beta_star, "beta_star")
     _, u_h = utilizations(ts)
     pool = beta * u_h
-    tasks = {t.id: t for t in ts.tasks}
-    segs = trace.service_segments()
+    periods = {t.id: t.period for t in ts.hc_tasks}
     demands = {(j.task, j.seq): j.demand for j in trace.jobs}
     problems: list[str] = []
-
-    def maxima_utilization(start: Time, t: Time) -> Fraction:
-        per_task: dict[int, Fraction] = {}
-        for (task_id, _seq), job_segs in segs.items():
-            if not tasks[task_id].is_hc:
-                continue
-            consumed = Fraction(0)
-            for s, e in job_segs:
-                if s < start or s >= t:
-                    continue
-                consumed += min(e, t) - s
-            if consumed > per_task.get(task_id, Fraction(0)):
-                per_task[task_id] = consumed
-        return sum((v / tasks[tid].period for tid, v in per_task.items()), Fraction(0))
-
-    interval_start = Fraction(0)
+    zero = Fraction(0)
+    served: dict[tuple[int, int], Time] = {}
+    maxima: dict[int, Time] = {}
+    maxima_sum = zero
+    open_key: tuple[int, int] | None = None
+    open_start = zero
     switched = False
+    last = trace.events[0].time if trace.events else zero
     for ev in trace.events:
-        if ev.kind is EventKind.IDLE:
-            interval_start = ev.time
+        t = ev.time
+        if t < last:
+            problems.append(f"t={t}: event time decreases after t={last}; "
+                            "pool audit stopped")
+            return problems
+        last = t
+        kind = ev.kind
+        if kind is EventKind.IDLE:
+            served.clear()
+            maxima.clear()
+            maxima_sum = zero
+            open_key = None
             switched = False
             continue
+        key = (ev.task, ev.job)
+        if kind is EventKind.DISPATCH:
+            if open_key is not None and open_key != key:
+                problems.append(
+                    f"t={t}: task {ev.task} job {ev.job} dispatched while task "
+                    f"{open_key[0]} job {open_key[1]} still runs; pool audit stopped")
+                return problems
+            open_key, open_start = key, t
+        elif kind in _CLOSES and key == open_key:
+            done = served.get(key, zero) + (t - open_start)
+            served[key] = done
+            open_key = None
+            period = periods.get(ev.task)
+            if period is not None:
+                old = maxima.get(ev.task, zero)
+                if done > old:
+                    maxima[ev.task] = done
+                    maxima_sum += (done - old) / period
         if switched:
             continue
-        total = maxima_utilization(interval_start, ev.time)
-        if ev.kind is EventKind.MODE_SWITCH:
+        total = maxima_sum
+        if open_key is not None and open_key[0] in periods:
+            tid = open_key[0]
+            running = served.get(open_key, zero) + (t - open_start)
+            old = maxima.get(tid, zero)
+            if running > old:
+                total += (running - old) / periods[tid]
+        if kind is EventKind.MODE_SWITCH:
             if total != pool:
                 problems.append(
-                    f"t*={ev.time}: maxima utilization {total} != pool {pool}")
-            key = (ev.task, ev.job)
-            if key in demands and trace.served_by(segs[key], ev.time) >= demands[key]:
-                problems.append(f"t*={ev.time}: triggering job already complete")
+                    f"t*={t}: maxima utilization {total} != pool {pool}")
+            if key in demands:
+                done = served.get(key, zero)
+                if key == open_key:
+                    done += t - open_start
+                if done >= demands[key]:
+                    problems.append(f"t*={t}: triggering job already complete")
             switched = True
         elif total > pool:
-            problems.append(
-                f"t={ev.time}: maxima utilization {total} > pool {pool}")
+            problems.append(f"t={t}: maxima utilization {total} > pool {pool}")
     return problems
 
 

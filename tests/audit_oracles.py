@@ -1,0 +1,120 @@
+"""Test-only oracles: the straightforward audits the sweep versions replace.
+
+``pool_utilization_violations`` re-sums every HC job's closed service
+segments at every event, so it costs O(events x segments);
+``verify_mc_schedulable`` and ``mode_at`` scan the switch and idle
+instants linearly.  They are kept here, outside the package, as the
+reference the faster audits in :mod:`mcsched.simulator` must agree with
+message for message.  One known difference: ``service_segments`` drops a
+segment that is still open at the end of the trace, so on
+``stop_after_switch`` traces this pool oracle misses the trigger's final
+segment and reports ``!= pool``.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from mcsched.meba import Mode
+from mcsched.simulator import EventKind, ScheduleTrace, SimConfig, Violation
+from mcsched.taskmodel import TaskSet, Time, as_fraction, utilizations
+
+
+def mode_timeline(trace: ScheduleTrace) -> list[tuple[Time, Mode]]:
+    timeline = []
+    for ev in trace.events:
+        if ev.kind is EventKind.MODE_SWITCH:
+            timeline.append((ev.time, Mode.HC))
+        elif ev.kind is EventKind.IDLE:
+            timeline.append((ev.time, Mode.LC))
+    return timeline
+
+
+def mode_at(timeline, t: Time) -> Mode:
+    mode = Mode.LC
+    for when, m in timeline:
+        if when <= t:
+            mode = m
+        else:
+            break
+    return mode
+
+
+def verify_mc_schedulable(ts: TaskSet, cfg: SimConfig, trace: ScheduleTrace
+                          ) -> tuple[bool, list[Violation]]:
+    tasks = {t.id: t for t in ts.tasks}
+    segs = trace.service_segments()
+    timeline = mode_timeline(trace)
+    switch_times = [ev.time for ev in trace.events
+                    if ev.kind is EventKind.MODE_SWITCH]
+    horizon = cfg.horizon
+    violations: list[Violation] = []
+    for job in trace.jobs:
+        task = tasks[job.task]
+        deadline = job.release + task.period
+        if horizon is not None and deadline > horizon:
+            continue
+        served = trace.served_by(segs[(job.task, job.seq)], deadline)
+        degraded = (any(job.release <= t <= deadline for t in switch_times)
+                    or mode_at(timeline, job.release) is Mode.HC)
+        if task.is_hc:
+            required = job.demand
+            reason = "hc_full_service"
+        elif not degraded:
+            required = job.demand
+            reason = "lc_nominal_service"
+        else:
+            required = min(job.demand, task.alpha * task.wcet)
+            reason = "lc_degraded_service"
+        if served < required:
+            violations.append(Violation(job.task, job.seq, deadline,
+                                        required, served, reason))
+    return (not violations), violations
+
+
+def pool_utilization_violations(ts: TaskSet, beta_star, trace: ScheduleTrace
+                                ) -> list[str]:
+    beta = as_fraction(beta_star, "beta_star")
+    _, u_h = utilizations(ts)
+    pool = beta * u_h
+    tasks = {t.id: t for t in ts.tasks}
+    segs = trace.service_segments()
+    demands = {(j.task, j.seq): j.demand for j in trace.jobs}
+    problems: list[str] = []
+
+    def maxima_utilization(start: Time, t: Time) -> Fraction:
+        per_task: dict[int, Fraction] = {}
+        for (task_id, _seq), job_segs in segs.items():
+            if not tasks[task_id].is_hc:
+                continue
+            consumed = Fraction(0)
+            for s, e in job_segs:
+                if s < start or s >= t:
+                    continue
+                consumed += min(e, t) - s
+            if consumed > per_task.get(task_id, Fraction(0)):
+                per_task[task_id] = consumed
+        return sum((v / tasks[tid].period for tid, v in per_task.items()), Fraction(0))
+
+    interval_start = Fraction(0)
+    switched = False
+    for ev in trace.events:
+        if ev.kind is EventKind.IDLE:
+            interval_start = ev.time
+            switched = False
+            continue
+        if switched:
+            continue
+        total = maxima_utilization(interval_start, ev.time)
+        if ev.kind is EventKind.MODE_SWITCH:
+            if total != pool:
+                problems.append(
+                    f"t*={ev.time}: maxima utilization {total} != pool {pool}")
+            key = (ev.task, ev.job)
+            if key in demands and trace.served_by(segs[key], ev.time) >= demands[key]:
+                problems.append(f"t*={ev.time}: triggering job already complete")
+            switched = True
+        elif total > pool:
+            problems.append(
+                f"t={ev.time}: maxima utilization {total} > pool {pool}")
+    return problems

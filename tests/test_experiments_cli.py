@@ -276,6 +276,7 @@ def test_cli_missing_file_exit_code(capsys):
 def assert_one_error_line(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 def test_cli_unknown_demand_model_is_a_usage_error(tmp_path, capsys,
@@ -332,6 +333,7 @@ def test_cli_malformed_taskset_exit_code(tmp_path, capsys):
       "9:1", "--x", "1/2", "--horizon", "10"], "task 9, which is not an HC task"),
     (["simulate", "--taskset", "{set}", "--policy", "fixed", "--budgets",
       "2:-1", "--x", "1/2", "--horizon", "10"], "budget must be non-negative"),
+    (["prob", "--u", "1/10"], "--u needs a matching --n"),
 ])
 def test_cli_usage_errors_exit_2(tmp_path, capsys, half_four_fifths_set,
                                  argv, message):
@@ -356,10 +358,8 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, half_four_fifths_set,
      "unrecognized arguments: --jobs 2"),
 ])
 def test_cli_counts_are_positive_and_only_on_experiment(tmp_path, capsys, argv, message):
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--out", str(tmp_path)])
-    assert exc.value.code == 2
-    assert message in capsys.readouterr().err
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert message in assert_one_error_line(capsys)
 
 
 def test_cli_gen_rejects_an_inverted_band(tmp_path, capsys):
@@ -368,6 +368,6 @@ def test_cli_gen_rejects_an_inverted_band(tmp_path, capsys):
     assert_one_error_line(capsys)
 
 
-def test_cli_requires_a_subcommand():
-    with pytest.raises(SystemExit):
-        main([])
+def test_cli_requires_a_subcommand(capsys):
+    assert main([]) == 2
+    assert_one_error_line(capsys)

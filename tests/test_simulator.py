@@ -253,6 +253,19 @@ def test_forced_overload_reports_hc_miss():
     assert any(v.task == 2 and v.reason == "hc_full_service" for v in violations)
 
 
+def test_verify_counts_a_switch_at_the_deadline_as_degrading():
+    # the HC job exhausts its budget of 6 at t=6, the LC job's deadline; the
+    # LC job (cap 0, so demoted to deadline 6 behind the HC job's virtual
+    # deadline 5) is owed nothing then
+    ts = TaskSet((McTask(1, F(5), F(2), Criticality.LC, alpha=F(0)),
+                  McTask(2, F(10), F(8), Criticality.HC)))
+    jobs = make_jobs([(1, F(1), F(2)), (2, F(0), F(8))])
+    cfg = SimConfig(FixedBudget({2: F(6)}), F(1, 2))
+    trace = simulate(ts, cfg, jobs)
+    assert mode_switch_instant(trace) == F(6)
+    assert verify_mc_schedulable(ts, cfg, trace) == (True, [])
+
+
 def test_verify_is_vacuous_on_empty_trace(half_four_fifths_set):
     empty = ScheduleTrace(events=(), jobs=(), horizon=None)
     ok, violations = verify_mc_schedulable(half_four_fifths_set, uvd_cfg(), empty)
@@ -370,6 +383,38 @@ def test_pool_auditor_flags_over_pool_budgets(half_four_fifths_set):
     trace = simulate(half_four_fifths_set, cfg, jobs)
     # replaying against the 0.2 pool must flag the 0.3-utilization maxima
     assert pool_utilization_violations(half_four_fifths_set, F(1, 4), trace)
+
+
+def test_pool_auditor_counts_the_segment_open_at_a_stop(half_four_fifths_set):
+    # task 2 gets the whole 1/5 pool (budget 2) and exhausts it at t=2; the
+    # stopped trace ends with its segment still open
+    jobs = make_jobs([(2, F(0), F(4)), (3, F(0), F(4))])
+    trace = simulate(half_four_fifths_set, uvd_cfg(), jobs, stop_after_switch=True)
+    assert shape(trace) == [("0", "dispatch", 2), ("2", "mode_switch", 2)]
+    assert pool_utilization_violations(half_four_fifths_set, F(1, 4), trace) == []
+    # against a smaller pool the open segment is what overshoots it
+    assert pool_utilization_violations(half_four_fifths_set, F(1, 5), trace) == [
+        "t*=2: maxima utilization 1/5 != pool 4/25"]
+    # a forged stop whose trigger has already run its whole demand of 2
+    forged = ScheduleTrace(events=trace.events, jobs=make_jobs([(2, F(0), F(2))]))
+    assert pool_utilization_violations(half_four_fifths_set, F(1, 4), forged) == [
+        "t*=2: triggering job already complete"]
+
+
+def test_pool_auditor_reports_a_broken_trace_contract(half_four_fifths_set):
+    backwards = ScheduleTrace(events=(
+        TraceEvent(F(1), EventKind.DISPATCH, 2, 0),
+        TraceEvent(F(1, 2), EventKind.COMPLETE, 2, 0),
+    ), jobs=make_jobs([(2, F(0), F(1))]))
+    assert pool_utilization_violations(half_four_fifths_set, F(1, 4), backwards) == [
+        "t=1/2: event time decreases after t=1; pool audit stopped"]
+    overlapping = ScheduleTrace(events=(
+        TraceEvent(F(0), EventKind.DISPATCH, 2, 0),
+        TraceEvent(F(1), EventKind.DISPATCH, 3, 0),
+        TraceEvent(F(2), EventKind.COMPLETE, 3, 0),
+    ), jobs=make_jobs([(2, F(0), F(1)), (3, F(0), F(1))]))
+    assert pool_utilization_violations(half_four_fifths_set, F(1, 4), overlapping) == [
+        "t=1: task 3 job 0 dispatched while task 2 job 0 still runs; pool audit stopped"]
 
 
 # ---- fixed-budget comparisons ----
