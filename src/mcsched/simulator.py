@@ -32,6 +32,7 @@ import enum
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush, heapreplace
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import BudgetSumViolation, InputError, InvalidFraction, InvalidJobSequence
@@ -188,15 +189,19 @@ class ScheduleTrace:
     horizon: Time | None = None
 
     def service_segments(self) -> dict[tuple[int, int], list[tuple[Time, Time]]]:
-        """Per-job execution segments [(start, end), ...], zero-length removed."""
+        """Per-job execution segments [(start, end), ...], zero-length removed.
+
+        Events naming a job that is not in ``jobs`` are skipped; the EDF
+        audit reports their dispatches.
+        """
         open_at: dict[tuple[int, int], Time] = {}
         segs: dict[tuple[int, int], list[tuple[Time, Time]]] = {
             (j.task, j.seq): [] for j in self.jobs
         }
         for ev in self.events:
-            if ev.task is None or ev.job is None:
-                continue
             key = (ev.task, ev.job)
+            if key not in segs:
+                continue
             if ev.kind is EventKind.DISPATCH:
                 open_at[key] = ev.time
             elif ev.kind in _CLOSES:
@@ -466,6 +471,19 @@ def _mode_at(timeline: tuple[list[Time], list[Mode]], t: Time) -> Mode:
     return modes[k - 1] if k else Mode.LC
 
 
+def _mode_cursor(timeline: tuple[list[Time], list[Mode]]) -> Callable[[Time], Mode]:
+    """``_mode_at`` for instants asked in non-decreasing order, O(1) amortized."""
+    times, modes = timeline
+    k = 0
+
+    def mode_at(t: Time) -> Mode:
+        nonlocal k
+        while k < len(times) and times[k] <= t:
+            k += 1
+        return modes[k - 1] if k else Mode.LC
+    return mode_at
+
+
 def verify_mc_schedulable(ts: TaskSet, cfg: SimConfig, trace: ScheduleTrace
                           ) -> tuple[bool, list[Violation]]:
     """Check the dual-criticality service obligations against a trace.
@@ -618,6 +636,22 @@ def edf_dispatch_violations(ts: TaskSet, cfg: SimConfig, trace: ScheduleTrace
     Effective deadlines are reconstructed from the trace alone (admission
     rules, deadline-change events and the degradation instant), so this is
     an independent audit of the scheduler's priority order.
+
+    A pre-scan records each job's close (complete or drop) and deadline
+    change; a close listed after a dispatch at the same instant still
+    counts as closed there.  Then one forward pass keeps the released,
+    unclosed jobs in two lazy-deletion heaps keyed ``(effective deadline,
+    task, seq)``: one by real deadline for dispatches in the degraded
+    mode, one by the nominal-mode key (the virtual deadline, or the real
+    one for a zero LC cap or a release while degraded), re-keyed to the
+    real deadline once the job's deadline change has passed.  Each
+    dispatch compares the chosen job's own key with the top of the heap
+    for the mode at its instant, so the audit costs O(events + dispatches
+    log jobs).
+
+    Trace contract, as :func:`simulate` emits it: event times never
+    decrease.  A trace that breaks it gets one problem line saying so, and
+    the audit stops there.
     """
     tasks = {t.id: t for t in ts.tasks}
     # read from the policy's declared rule, never from scheduler state
@@ -635,7 +669,7 @@ def edf_dispatch_violations(ts: TaskSet, cfg: SimConfig, trace: ScheduleTrace
         elif ev.kind is EventKind.DEADLINE_CHANGE:
             demote_at[key] = ev.time
 
-    def eff_at(job: Job, t: Time) -> Fraction:
+    def eff_at(job: Job, t: Time, mode: Mode) -> Fraction:
         task = tasks[job.task]
         deadline = job.release + task.period
         release_mode = _mode_at(timeline, job.release)
@@ -647,31 +681,67 @@ def edf_dispatch_violations(ts: TaskSet, cfg: SimConfig, trace: ScheduleTrace
         key = (job.task, job.seq)
         if key in demote_at and t >= demote_at[key]:
             base = deadline
-        if _mode_at(timeline, t) is Mode.HC:
+        if mode is Mode.HC:
             base = deadline
         return base
 
+    def top(heap: list, t: Time) -> tuple | None:
+        """The least live entry at ``t``.  Closed jobs leave for good; a
+        job past its deadline change moves to its deadline.  A stale key
+        is never above the live one (x <= 1), so a live top is the
+        minimum."""
+        while heap:
+            entry = heap[0]
+            key = entry[1:]
+            if key in closed_at and closed_at[key] <= t:
+                heappop(heap)
+                continue
+            deadline = deadlines[key]
+            if entry[0] != deadline and key in demote_at and demote_at[key] <= t:
+                heapreplace(heap, (deadline,) + key)
+                continue
+            return entry
+        return None
+
+    by_key = {(j.task, j.seq): j for j in trace.jobs}
+    pending = sorted(trace.jobs, key=lambda j: j.release)
+    mode_at_release = _mode_cursor(timeline)
+    mode_at_dispatch = _mode_cursor(timeline)
+    deadlines: dict[tuple[int, int], Time] = {}
+    by_deadline: list[tuple] = []
+    by_nominal: list[tuple] = []
+    admitted = 0
     problems = []
+    last = trace.events[0].time if trace.events else None
     for ev in trace.events:
+        t = ev.time
+        if t < last:
+            problems.append(f"t={t}: event time decreases after t={last}; "
+                            "EDF audit stopped")
+            return problems
+        last = t
         if ev.kind is not EventKind.DISPATCH:
             continue
-        t = ev.time
-        chosen = None
-        candidates = []
-        for job in trace.jobs:
-            key = (job.task, job.seq)
-            if job.release > t:
-                continue
-            if key in closed_at and closed_at[key] <= t and key != (ev.task, ev.job):
-                continue
-            candidates.append((eff_at(job, t), job.task, job.seq))
-            if key == (ev.task, ev.job):
-                chosen = (eff_at(job, t), job.task, job.seq)
-        if chosen is None:
+        while admitted < len(pending) and pending[admitted].release <= t:
+            job = pending[admitted]
+            admitted += 1
+            task = tasks[job.task]
+            deadline = job.release + task.period
+            if job.task in zero_cap or mode_at_release(job.release) is Mode.HC:
+                nominal = deadline
+            else:
+                nominal = job.release + cfg.x * task.period
+            deadlines[(job.task, job.seq)] = deadline
+            heappush(by_deadline, (deadline, job.task, job.seq))
+            heappush(by_nominal, (nominal, job.task, job.seq))
+        job = by_key.get((ev.task, ev.job))
+        if job is None or job.release > t:
             problems.append(f"t={t}: dispatched job not in sequence")
             continue
-        best = min(candidates)
-        if chosen > best:
+        mode = mode_at_dispatch(t)
+        chosen = (eff_at(job, t, mode), job.task, job.seq)
+        best = top(by_deadline if mode is Mode.HC else by_nominal, t)
+        if best is not None and chosen > best:
             problems.append(
                 f"t={t}: dispatched {chosen} but {best} was ready")
     return problems

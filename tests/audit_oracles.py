@@ -3,9 +3,11 @@
 ``pool_utilization_violations`` re-sums every HC job's closed service
 segments at every event, so it costs O(events x segments);
 ``verify_mc_schedulable`` and ``mode_at`` scan the switch and idle
-instants linearly.  They are kept here, outside the package, as the
-reference the faster audits in :mod:`mcsched.simulator` must agree with
-message for message.  One known difference: ``service_segments`` drops a
+instants linearly; ``edf_dispatch_violations`` rebuilds the effective
+deadline of every released, unclosed job at every dispatch, so it costs
+O(dispatches x jobs), on those linear mode lookups.  They are kept here,
+outside the package, as the reference the faster audits in
+:mod:`mcsched.simulator` must agree with message for message.  One known difference: ``service_segments`` drops a
 segment that is still open at the end of the trace, so on
 ``stop_after_switch`` traces this pool oracle misses the trigger's final
 segment and reports ``!= pool``.
@@ -16,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from mcsched.meba import Mode
-from mcsched.simulator import EventKind, ScheduleTrace, SimConfig, Violation
+from mcsched.simulator import EventKind, Job, ScheduleTrace, SimConfig, Violation
 from mcsched.taskmodel import TaskSet, Time, as_fraction, utilizations
 
 
@@ -117,4 +119,70 @@ def pool_utilization_violations(ts: TaskSet, beta_star, trace: ScheduleTrace
         elif total > pool:
             problems.append(
                 f"t={ev.time}: maxima utilization {total} > pool {pool}")
+    return problems
+
+
+def edf_dispatch_violations(ts: TaskSet, cfg: SimConfig, trace: ScheduleTrace
+                            ) -> list[str]:
+    """Check that every dispatch picked a minimal effective deadline.
+
+    Effective deadlines are reconstructed from the trace alone (admission
+    rules, deadline-change events and the degradation instant), so this is
+    an independent audit of the scheduler's priority order.
+    """
+    tasks = {t.id: t for t in ts.tasks}
+    # read from the policy's declared rule, never from scheduler state
+    zero_cap = {t.id for t in ts.lc_tasks if cfg.policy.lc_cap(t) == 0}
+    timeline = mode_timeline(trace)
+
+    closed_at: dict[tuple[int, int], Time] = {}
+    demote_at: dict[tuple[int, int], Time] = {}
+    for ev in trace.events:
+        if ev.task is None:
+            continue
+        key = (ev.task, ev.job)
+        if ev.kind in (EventKind.COMPLETE, EventKind.DROP):
+            closed_at[key] = ev.time
+        elif ev.kind is EventKind.DEADLINE_CHANGE:
+            demote_at[key] = ev.time
+
+    def eff_at(job: Job, t: Time) -> Fraction:
+        task = tasks[job.task]
+        deadline = job.release + task.period
+        release_mode = mode_at(timeline, job.release)
+        virtual = job.release + cfg.x * task.period
+        if job.task in zero_cap or release_mode is Mode.HC:
+            base = deadline
+        else:
+            base = virtual
+        key = (job.task, job.seq)
+        if key in demote_at and t >= demote_at[key]:
+            base = deadline
+        if mode_at(timeline, t) is Mode.HC:
+            base = deadline
+        return base
+
+    problems = []
+    for ev in trace.events:
+        if ev.kind is not EventKind.DISPATCH:
+            continue
+        t = ev.time
+        chosen = None
+        candidates = []
+        for job in trace.jobs:
+            key = (job.task, job.seq)
+            if job.release > t:
+                continue
+            if key in closed_at and closed_at[key] <= t and key != (ev.task, ev.job):
+                continue
+            candidates.append((eff_at(job, t), job.task, job.seq))
+            if key == (ev.task, ev.job):
+                chosen = (eff_at(job, t), job.task, job.seq)
+        if chosen is None:
+            problems.append(f"t={t}: dispatched job not in sequence")
+            continue
+        best = min(candidates)
+        if chosen > best:
+            problems.append(
+                f"t={t}: dispatched {chosen} but {best} was ready")
     return problems

@@ -377,6 +377,22 @@ def test_edf_auditor_flags_wrong_dispatch_order():
     assert problems and problems[0].startswith("t=0")
 
 
+def test_audits_report_a_dispatch_of_a_job_not_in_the_sequence(half_four_fifths_set):
+    # job (2, 5) is not in the one-job sequence; the verifier skips its
+    # events instead of failing, and the EDF audit names the stray dispatch
+    jobs = make_jobs([(2, F(0), F(1))])
+    forged = ScheduleTrace(events=(
+        TraceEvent(F(0), EventKind.DISPATCH, 2, 5),
+        TraceEvent(F(1), EventKind.COMPLETE, 2, 5),
+    ), jobs=jobs)
+    cfg = uvd_cfg()
+    ok, violations = verify_mc_schedulable(half_four_fifths_set, cfg, forged)
+    assert not ok
+    assert [(v.task, v.seq, v.received) for v in violations] == [(2, 0, F(0))]
+    assert edf_dispatch_violations(half_four_fifths_set, cfg, forged) == [
+        "t=0: dispatched job not in sequence"]
+
+
 def test_pool_auditor_flags_over_pool_budgets(half_four_fifths_set):
     jobs = make_jobs([(2, F(0), F(3)), (3, F(0), F(3))])
     cfg = SimConfig(FixedBudget({2: F(3), 3: F(3)}), F(2, 5))
