@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import default_x, theorem1_test, threshold_m
-from .errors import Infeasible, InputError, InvalidFraction, McSchedError
+from .errors import Infeasible, InputError, InvalidFraction, InvalidJobSequence, McSchedError
 from .experiments import (
     EXPERIMENTS,
     W_GRID,
@@ -163,11 +163,16 @@ def _cmd_simulate(args) -> int:
         except Infeasible:
             print("unschedulable: no admissible deadline factor", file=sys.stderr)
             return 1
+    if args.horizon is not None and args.horizon <= 0:
+        raise InputError(f"simulate: --horizon must be positive, got {args.horizon}")
     cfg = SimConfig(policy, x, horizon=args.horizon)
 
     if args.jobs_csv:
         jobs = load_jobs_csv(args.jobs_csv)
-        validate_jobs(ts, jobs)
+        try:
+            validate_jobs(ts, jobs)
+        except InvalidJobSequence as exc:
+            raise InputError(f"simulate: {args.jobs_csv}: {exc}") from None
     else:
         if args.horizon is None:
             raise InputError("simulate: generating jobs needs --horizon")

@@ -33,6 +33,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush, heapreplace
+from itertools import accumulate
+from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import BudgetSumViolation, InputError, InvalidFraction, InvalidJobSequence
@@ -450,38 +452,41 @@ class Violation:
     reason: str
 
 
-def _mode_timeline(trace: ScheduleTrace) -> tuple[list[Time], list[Mode]]:
-    """Mode-change instants (switch to HC, idle back to LC) and the new modes."""
-    times: list[Time] = []
-    modes: list[Mode] = []
-    for ev in trace.events:
-        if ev.kind is EventKind.MODE_SWITCH:
-            times.append(ev.time)
-            modes.append(Mode.HC)
-        elif ev.kind is EventKind.IDLE:
-            times.append(ev.time)
-            modes.append(Mode.LC)
-    return times, modes
+def _time_base(ts: TaskSet, trace: ScheduleTrace, extra: Iterable[Time] = ()
+               ) -> tuple[int, Callable[[Time], int], list[int], list[int], list[Mode]]:
+    """One audit's exact integer time base, derived from its own inputs.
 
+    The scale ``S`` is the lcm of the denominators of every event time, job
+    release and demand, task period and ``extra`` value, so each of them is
+    exactly ``t.numerator * (S // t.denominator)`` ticks.  Returns ``S``,
+    that conversion, the event times in ticks, and the trace's mode changes
+    (a switch to HC, an idle back to LC) as tick instants with the new
+    modes.  The instants are running maxima of the change times, so
+    ``bisect_right`` on them finds the first change later than a given
+    instant, as a scan from the start of the trace does, even where times
+    decrease.
+    """
+    events = trace.events
+    stamps = [ev.time.as_integer_ratio() for ev in events]
+    dens = {d for _, d in stamps}
+    dens.update(j.release.denominator for j in trace.jobs)
+    dens.update(j.demand.denominator for j in trace.jobs)
+    dens.update(t.period.denominator for t in ts.tasks)
+    dens.update(v.denominator for v in extra)
+    scale = lcm(*dens)
+    per_tick = {d: scale // d for d in dens}
 
-def _mode_at(timeline: tuple[list[Time], list[Mode]], t: Time) -> Mode:
-    """The mode set by the last change at or before ``t`` (bisected)."""
-    times, modes = timeline
-    k = bisect_right(times, t)
-    return modes[k - 1] if k else Mode.LC
+    def ticks(t: Time) -> int:
+        n, d = t.as_integer_ratio()
+        return n * per_tick[d]
 
-
-def _mode_cursor(timeline: tuple[list[Time], list[Mode]]) -> Callable[[Time], Mode]:
-    """``_mode_at`` for instants asked in non-decreasing order, O(1) amortized."""
-    times, modes = timeline
-    k = 0
-
-    def mode_at(t: Time) -> Mode:
-        nonlocal k
-        while k < len(times) and times[k] <= t:
-            k += 1
-        return modes[k - 1] if k else Mode.LC
-    return mode_at
+    times = [n * per_tick[d] for n, d in stamps]
+    switch, idle = EventKind.MODE_SWITCH, EventKind.IDLE
+    changes = [(t, ev.kind is switch) for t, ev in zip(times, events)
+               if ev.kind is switch or ev.kind is idle]
+    change_at = list(accumulate((t for t, _ in changes), max))
+    change_to = [Mode.HC if to_hc else Mode.LC for _, to_hc in changes]
+    return scale, ticks, times, change_at, change_to
 
 
 def verify_mc_schedulable(ts: TaskSet, cfg: SimConfig, trace: ScheduleTrace
@@ -497,38 +502,76 @@ def verify_mc_schedulable(ts: TaskSet, cfg: SimConfig, trace: ScheduleTrace
       deadline window, or they are released while the system is already
       degraded) owe only ``min(demand, alpha_i * C_i)``.
 
-    Both degradation tests bisect the trace's switch and idle instants, so
-    the audit costs O(events + jobs log events).  An empty trace is
-    vacuously schedulable.  Returns (ok, violations).
+    The audit runs on integer ticks (:func:`_time_base`): its scale covers
+    the trace, the jobs, the periods, each LC task's ``alpha_i * C_i`` and
+    the horizon.  One pass over the events sums each job's service up to
+    its deadline; both degradation tests bisect the switch and idle
+    instants, so the audit costs O(events + jobs log events).  Each
+    reported deadline, requirement and service is rebuilt as the exact
+    ``Fraction(ticks, S)``.  An empty trace is vacuously schedulable.
+    Returns (ok, violations).
     """
     tasks = {t.id: t for t in ts.tasks}
-    segs = trace.service_segments()
-    timeline = _mode_timeline(trace)
-    switch_times = [ev.time for ev in trace.events
-                    if ev.kind is EventKind.MODE_SWITCH]
+    caps = {t.id: t.alpha * t.wcet for t in ts.lc_tasks}
     horizon = cfg.horizon
+    extra = [*caps.values(), *(() if horizon is None else (horizon,))]
+    scale, ticks, times, change_at, change_to = _time_base(ts, trace, extra)
+    periods = {t.id: ticks(t.period) for t in ts.tasks}
+    deadlines = {(j.task, j.seq): ticks(j.release) + periods[j.task] for j in trace.jobs}
+
+    # Service by the deadline, segment by segment in trace order; as in
+    # ScheduleTrace.served_by, a job's first segment that starts at or
+    # after its deadline ends its count.
+    served = dict.fromkeys(deadlines, 0)
+    counted_out: set[tuple[int, int]] = set()
+    open_at: dict[tuple[int, int], int] = {}
+    switches = []
+    for t, ev in zip(times, trace.events):
+        kind = ev.kind
+        if kind is EventKind.MODE_SWITCH:
+            switches.append(t)
+        key = (ev.task, ev.job)
+        if key not in served:
+            continue
+        if kind is EventKind.DISPATCH:
+            open_at[key] = t
+        elif kind in _CLOSES:
+            start = open_at.pop(key, None)
+            if start is None or t <= start or key in counted_out:
+                continue
+            deadline = deadlines[key]
+            if start >= deadline:
+                counted_out.add(key)
+            else:
+                served[key] += min(t, deadline) - start
+    switches.sort()
+
+    limit = None if horizon is None else ticks(horizon)
     violations: list[Violation] = []
     for job in trace.jobs:
         task = tasks[job.task]
-        deadline = job.release + task.period
-        if horizon is not None and deadline > horizon:
+        key = (job.task, job.seq)
+        deadline = deadlines[key]
+        if limit is not None and deadline > limit:
             continue
-        served = trace.served_by(segs[(job.task, job.seq)], deadline)
-        k = bisect_left(switch_times, job.release)
-        degraded = ((k < len(switch_times) and switch_times[k] <= deadline)
-                    or _mode_at(timeline, job.release) is Mode.HC)
+        required = ticks(job.demand)
         if task.is_hc:
-            required = job.demand
             reason = "hc_full_service"
-        elif not degraded:
-            required = job.demand
-            reason = "lc_nominal_service"
         else:
-            required = min(job.demand, task.alpha * task.wcet)
-            reason = "lc_degraded_service"
-        if served < required:
-            violations.append(Violation(job.task, job.seq, deadline,
-                                        required, served, reason))
+            release = ticks(job.release)
+            k = bisect_left(switches, release)
+            m = bisect_right(change_at, release)
+            if ((k < len(switches) and switches[k] <= deadline)
+                    or (m and change_to[m - 1] is Mode.HC)):
+                required = min(required, ticks(caps[job.task]))
+                reason = "lc_degraded_service"
+            else:
+                reason = "lc_nominal_service"
+        got = served[key]
+        if got < required:
+            violations.append(Violation(
+                job.task, job.seq, Fraction(deadline, scale),
+                Fraction(required, scale), Fraction(got, scale), reason))
     return (not violations), violations
 
 
@@ -543,12 +586,17 @@ def pool_utilization_violations(ts: TaskSet, beta_star, trace: ScheduleTrace
     degradation instant it must equal the pool exactly and the triggering
     job must be incomplete.
 
-    One forward pass, O(events).  It keeps each job's service in the
-    current busy interval, each HC task's maximum over closed segments
-    with their sum of ``max / T``, and the one open segment, which counts
-    ``consumed + (t - start)`` for its job at an event at time ``t``.  An
-    IDLE event resets all three.  A segment still open when the trace ends
-    (a ``stop_after_switch`` run) therefore counts too.
+    One forward pass, O(events), on integer ticks (:func:`_time_base`, a
+    scale over the trace, the jobs and the periods).  It keeps each job's
+    service in the current busy interval, each HC task's maximum over
+    closed segments, and the one open segment, which counts ``consumed +
+    (t - start)`` for its job at an event at time ``t``.  The maxima
+    utilization, the sum of ``max / T``, is one integer over ``L``, the
+    lcm of the HC periods in ticks, and is compared with the pool by
+    cross-multiplying.  An IDLE event resets all of it.  A segment still
+    open when the trace ends (a ``stop_after_switch`` run) therefore
+    counts too.  A reported utilization is rebuilt as the exact
+    ``Fraction(total, L)``.
 
     Trace contract, as :func:`simulate` emits it: event times never
     decrease, and a job is dispatched only while no other job's segment is
@@ -560,29 +608,32 @@ def pool_utilization_violations(ts: TaskSet, beta_star, trace: ScheduleTrace
     beta = as_fraction(beta_star, "beta_star")
     _, u_h = utilizations(ts)
     pool = beta * u_h
-    periods = {t.id: t.period for t in ts.hc_tasks}
+    scale, ticks, times, _, _ = _time_base(ts, trace)
+    periods = {t.id: ticks(t.period) for t in ts.hc_tasks}
+    scale_l = lcm(*periods.values())
+    weights = {tid: scale_l // p for tid, p in periods.items()}
+    # total / L > pool  <=>  total * pool.denominator > pool.numerator * L
+    pool_den, pool_num = pool.denominator, pool.numerator * scale_l
     demands = {(j.task, j.seq): j.demand for j in trace.jobs}
     problems: list[str] = []
-    zero = Fraction(0)
-    served: dict[tuple[int, int], Time] = {}
-    maxima: dict[int, Time] = {}
-    maxima_sum = zero
+    served: dict[tuple[int, int], int] = {}
+    maxima: dict[int, int] = {}
+    maxima_sum = 0
     open_key: tuple[int, int] | None = None
-    open_start = zero
+    open_start = 0
     switched = False
-    last = trace.events[0].time if trace.events else zero
-    for ev in trace.events:
-        t = ev.time
+    last = times[0] if times else 0
+    for t, ev in zip(times, trace.events):
         if t < last:
-            problems.append(f"t={t}: event time decreases after t={last}; "
-                            "pool audit stopped")
+            problems.append(f"t={ev.time}: event time decreases after "
+                            f"t={Fraction(last, scale)}; pool audit stopped")
             return problems
         last = t
         kind = ev.kind
         if kind is EventKind.IDLE:
             served.clear()
             maxima.clear()
-            maxima_sum = zero
+            maxima_sum = 0
             open_key = None
             switched = False
             continue
@@ -590,42 +641,43 @@ def pool_utilization_violations(ts: TaskSet, beta_star, trace: ScheduleTrace
         if kind is EventKind.DISPATCH:
             if open_key is not None and open_key != key:
                 problems.append(
-                    f"t={t}: task {ev.task} job {ev.job} dispatched while task "
+                    f"t={ev.time}: task {ev.task} job {ev.job} dispatched while task "
                     f"{open_key[0]} job {open_key[1]} still runs; pool audit stopped")
                 return problems
             open_key, open_start = key, t
         elif kind in _CLOSES and key == open_key:
-            done = served.get(key, zero) + (t - open_start)
+            done = served.get(key, 0) + (t - open_start)
             served[key] = done
             open_key = None
-            period = periods.get(ev.task)
-            if period is not None:
-                old = maxima.get(ev.task, zero)
+            weight = weights.get(ev.task)
+            if weight is not None:
+                old = maxima.get(ev.task, 0)
                 if done > old:
                     maxima[ev.task] = done
-                    maxima_sum += (done - old) / period
+                    maxima_sum += (done - old) * weight
         if switched:
             continue
         total = maxima_sum
-        if open_key is not None and open_key[0] in periods:
+        if open_key is not None and open_key[0] in weights:
             tid = open_key[0]
-            running = served.get(open_key, zero) + (t - open_start)
-            old = maxima.get(tid, zero)
+            running = served.get(open_key, 0) + (t - open_start)
+            old = maxima.get(tid, 0)
             if running > old:
-                total += (running - old) / periods[tid]
+                total += (running - old) * weights[tid]
         if kind is EventKind.MODE_SWITCH:
-            if total != pool:
-                problems.append(
-                    f"t*={t}: maxima utilization {total} != pool {pool}")
+            if total * pool_den != pool_num:
+                problems.append(f"t*={ev.time}: maxima utilization "
+                                f"{Fraction(total, scale_l)} != pool {pool}")
             if key in demands:
-                done = served.get(key, zero)
+                done = served.get(key, 0)
                 if key == open_key:
                     done += t - open_start
-                if done >= demands[key]:
-                    problems.append(f"t*={t}: triggering job already complete")
+                if done >= ticks(demands[key]):
+                    problems.append(f"t*={ev.time}: triggering job already complete")
             switched = True
-        elif total > pool:
-            problems.append(f"t={t}: maxima utilization {total} > pool {pool}")
+        elif total * pool_den > pool_num:
+            problems.append(f"t={ev.time}: maxima utilization "
+                            f"{Fraction(total, scale_l)} > pool {pool}")
     return problems
 
 
@@ -637,55 +689,48 @@ def edf_dispatch_violations(ts: TaskSet, cfg: SimConfig, trace: ScheduleTrace
     rules, deadline-change events and the degradation instant), so this is
     an independent audit of the scheduler's priority order.
 
-    A pre-scan records each job's close (complete or drop) and deadline
-    change; a close listed after a dispatch at the same instant still
-    counts as closed there.  Then one forward pass keeps the released,
-    unclosed jobs in two lazy-deletion heaps keyed ``(effective deadline,
-    task, seq)``: one by real deadline for dispatches in the degraded
-    mode, one by the nominal-mode key (the virtual deadline, or the real
-    one for a zero LC cap or a release while degraded), re-keyed to the
-    real deadline once the job's deadline change has passed.  Each
-    dispatch compares the chosen job's own key with the top of the heap
-    for the mode at its instant, so the audit costs O(events + dispatches
-    log jobs).
+    The audit runs on integer ticks (:func:`_time_base`): its scale covers
+    the trace, the jobs, the periods and each ``x * T``.  A pre-scan
+    records each job's close (complete or drop) and deadline change; a
+    close listed after a dispatch at the same instant still counts as
+    closed there.  Then one forward pass keeps the released, unclosed jobs
+    in two lazy-deletion heaps keyed ``(effective deadline, task, seq)``:
+    one by real deadline for dispatches in the degraded mode, one by the
+    nominal-mode key (the virtual deadline, or the real one for a zero LC
+    cap or a release while degraded), re-keyed to the real deadline once
+    the job's deadline change has passed.  Each dispatch compares the
+    chosen job's own key with the top of the heap for the mode at its
+    instant, so the audit costs O(events + dispatches log jobs).  The
+    deadlines in a reported key are rebuilt as exact ``Fraction(ticks,
+    S)``s.
 
     Trace contract, as :func:`simulate` emits it: event times never
     decrease.  A trace that breaks it gets one problem line saying so, and
     the audit stops there.
     """
-    tasks = {t.id: t for t in ts.tasks}
     # read from the policy's declared rule, never from scheduler state
     zero_cap = {t.id for t in ts.lc_tasks if cfg.policy.lc_cap(t) == 0}
-    timeline = _mode_timeline(trace)
+    x_periods = {t.id: cfg.x * t.period for t in ts.tasks}
+    scale, ticks, times, change_at, change_to = _time_base(ts, trace, x_periods.values())
+    periods = {t.id: ticks(t.period) for t in ts.tasks}
+    virtual = {tid: ticks(v) for tid, v in x_periods.items()}
 
-    closed_at: dict[tuple[int, int], Time] = {}
-    demote_at: dict[tuple[int, int], Time] = {}
-    for ev in trace.events:
+    def degraded_at(t: int) -> bool:
+        k = bisect_right(change_at, t)
+        return k > 0 and change_to[k - 1] is Mode.HC
+
+    closed_at: dict[tuple[int, int], int] = {}
+    demote_at: dict[tuple[int, int], int] = {}
+    for t, ev in zip(times, trace.events):
         if ev.task is None:
             continue
-        key = (ev.task, ev.job)
-        if ev.kind in (EventKind.COMPLETE, EventKind.DROP):
-            closed_at[key] = ev.time
-        elif ev.kind is EventKind.DEADLINE_CHANGE:
-            demote_at[key] = ev.time
+        kind = ev.kind
+        if kind is EventKind.COMPLETE or kind is EventKind.DROP:
+            closed_at[(ev.task, ev.job)] = t
+        elif kind is EventKind.DEADLINE_CHANGE:
+            demote_at[(ev.task, ev.job)] = t
 
-    def eff_at(job: Job, t: Time, mode: Mode) -> Fraction:
-        task = tasks[job.task]
-        deadline = job.release + task.period
-        release_mode = _mode_at(timeline, job.release)
-        virtual = job.release + cfg.x * task.period
-        if job.task in zero_cap or release_mode is Mode.HC:
-            base = deadline
-        else:
-            base = virtual
-        key = (job.task, job.seq)
-        if key in demote_at and t >= demote_at[key]:
-            base = deadline
-        if mode is Mode.HC:
-            base = deadline
-        return base
-
-    def top(heap: list, t: Time) -> tuple | None:
+    def top(heap: list, t: int) -> tuple | None:
         """The least live entry at ``t``.  Closed jobs leave for good; a
         job past its deadline change moves to its deadline.  A stale key
         is never above the live one (x <= 1), so a live top is the
@@ -703,47 +748,48 @@ def edf_dispatch_violations(ts: TaskSet, cfg: SimConfig, trace: ScheduleTrace
             return entry
         return None
 
-    by_key = {(j.task, j.seq): j for j in trace.jobs}
-    pending = sorted(trace.jobs, key=lambda j: j.release)
-    mode_at_release = _mode_cursor(timeline)
-    mode_at_dispatch = _mode_cursor(timeline)
-    deadlines: dict[tuple[int, int], Time] = {}
+    pending = sorted((ticks(j.release), j.task, j.seq) for j in trace.jobs)
+    deadlines: dict[tuple[int, int], int] = {}
+    nominal: dict[tuple[int, int], int] = {}
     by_deadline: list[tuple] = []
     by_nominal: list[tuple] = []
     admitted = 0
     problems = []
-    last = trace.events[0].time if trace.events else None
-    for ev in trace.events:
-        t = ev.time
+    last = times[0] if times else 0
+    for t, ev in zip(times, trace.events):
         if t < last:
-            problems.append(f"t={t}: event time decreases after t={last}; "
-                            "EDF audit stopped")
+            problems.append(f"t={ev.time}: event time decreases after "
+                            f"t={Fraction(last, scale)}; EDF audit stopped")
             return problems
         last = t
         if ev.kind is not EventKind.DISPATCH:
             continue
-        while admitted < len(pending) and pending[admitted].release <= t:
-            job = pending[admitted]
+        while admitted < len(pending) and pending[admitted][0] <= t:
+            release, tid, seq = pending[admitted]
             admitted += 1
-            task = tasks[job.task]
-            deadline = job.release + task.period
-            if job.task in zero_cap or mode_at_release(job.release) is Mode.HC:
-                nominal = deadline
+            deadline = release + periods[tid]
+            if tid in zero_cap or degraded_at(release):
+                eff = deadline
             else:
-                nominal = job.release + cfg.x * task.period
-            deadlines[(job.task, job.seq)] = deadline
-            heappush(by_deadline, (deadline, job.task, job.seq))
-            heappush(by_nominal, (nominal, job.task, job.seq))
-        job = by_key.get((ev.task, ev.job))
-        if job is None or job.release > t:
-            problems.append(f"t={t}: dispatched job not in sequence")
+                eff = release + virtual[tid]
+            deadlines[(tid, seq)] = deadline
+            nominal[(tid, seq)] = eff
+            heappush(by_deadline, (deadline, tid, seq))
+            heappush(by_nominal, (eff, tid, seq))
+        key = (ev.task, ev.job)
+        if key not in nominal:
+            problems.append(f"t={ev.time}: dispatched job not in sequence")
             continue
-        mode = mode_at_dispatch(t)
-        chosen = (eff_at(job, t, mode), job.task, job.seq)
-        best = top(by_deadline if mode is Mode.HC else by_nominal, t)
+        degraded = degraded_at(t)
+        if degraded or (key in demote_at and t >= demote_at[key]):
+            chosen = (deadlines[key],) + key
+        else:
+            chosen = (nominal[key],) + key
+        best = top(by_deadline if degraded else by_nominal, t)
         if best is not None and chosen > best:
             problems.append(
-                f"t={t}: dispatched {chosen} but {best} was ready")
+                f"t={ev.time}: dispatched {(Fraction(chosen[0], scale),) + key} "
+                f"but {(Fraction(best[0], scale),) + best[1:]} was ready")
     return problems
 
 

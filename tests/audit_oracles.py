@@ -5,12 +5,14 @@ segments at every event, so it costs O(events x segments);
 ``verify_mc_schedulable`` and ``mode_at`` scan the switch and idle
 instants linearly; ``edf_dispatch_violations`` rebuilds the effective
 deadline of every released, unclosed job at every dispatch, so it costs
-O(dispatches x jobs), on those linear mode lookups.  They are kept here,
-outside the package, as the reference the faster audits in
-:mod:`mcsched.simulator` must agree with message for message.  One known difference: ``service_segments`` drops a
-segment that is still open at the end of the trace, so on
+O(dispatches x jobs), on those linear mode lookups.  All of them compute
+in exact ``Fraction``s.  They are kept here, outside the package, as the
+reference the integer-tick audits in :mod:`mcsched.simulator` must agree
+with message for message.  One known difference: ``service_segments``
+drops a segment that is still open at the end of the trace, so on
 ``stop_after_switch`` traces this pool oracle misses the trigger's final
-segment and reports ``!= pool``.
+segment and reports ``!= pool``; the tests hand it such traces with that
+segment closed at the stop (``test_audit_oracles.closed_at_stop``).
 """
 
 from __future__ import annotations

@@ -334,11 +334,30 @@ def test_cli_malformed_taskset_exit_code(tmp_path, capsys):
     (["simulate", "--taskset", "{set}", "--policy", "fixed", "--budgets",
       "2:-1", "--x", "1/2", "--horizon", "10"], "budget must be non-negative"),
     (["prob", "--u", "1/10"], "--u needs a matching --n"),
+    (["simulate", "--taskset", "{set}", "--policy", "vd", "--x", "1/2",
+      "--jobs-csv", "{dir}/unknown_task.csv"], "job references unknown task 9"),
+    (["simulate", "--taskset", "{set}", "--policy", "vd", "--x", "1/2",
+      "--jobs-csv", "{dir}/zero_demand.csv"], "task 1 job 0: demand 0 outside (0, 5]"),
+    (["simulate", "--taskset", "{set}", "--policy", "vd", "--x", "1/2",
+      "--jobs-csv", "{dir}/long_demand.csv"], "task 2 job 0: demand 9/2 outside (0, 4]"),
+    (["simulate", "--taskset", "{set}", "--policy", "vd", "--x", "1/2",
+      "--jobs-csv", "{dir}/negative_release.csv"], "task 1 job 0: negative release"),
+    (["simulate", "--taskset", "{set}", "--policy", "vd", "--x", "1/2",
+      "--jobs-csv", "{dir}/too_close.csv"], "task 1: releases 0 and 5 closer than T=10"),
+    (["simulate", "--taskset", "{set}", "--policy", "vd", "--x", "1/2",
+      "--horizon", "0"], "--horizon must be positive, got 0"),
+    (["simulate", "--taskset", "{set}", "--policy", "vd", "--x", "1/2",
+      "--horizon=-5/2"], "--horizon must be positive, got -5/2"),
 ])
 def test_cli_usage_errors_exit_2(tmp_path, capsys, half_four_fifths_set,
                                  argv, message):
     path = taskset_file(tmp_path, half_four_fifths_set)
-    argv = [arg.format(set=path) for arg in argv] + ["--out", str(tmp_path)]
+    for name, row in (("unknown_task", "9,0,1"), ("zero_demand", "1,0,0"),
+                      ("long_demand", "2,0,9/2"), ("negative_release", "1,-1,1"),
+                      ("too_close", "1,0,1\n1,5,1")):
+        (tmp_path / f"{name}.csv").write_text(f"task,release,demand\n{row}\n")
+    argv = ([arg.format(set=path, dir=tmp_path) for arg in argv]
+            + ["--out", str(tmp_path)])
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
