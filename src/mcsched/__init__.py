@@ -49,7 +49,7 @@ from .analysis import (
     threshold_m,
     total_system_utilization,
 )
-from .meba import MebaState, Mode, ModeSwitchInfo
+from .meba import MebaState, Mode
 from .simulator import (
     EdfUvdMeba,
     EdfVdStatic,

@@ -173,25 +173,11 @@ def su_levels(ts: TaskSet, alpha_star, beta_star) -> tuple[Fraction, Fraction]:
     return b * u_h + u_l, a * u_l + u_h
 
 
-def _su_weighted(u_l: Fraction, u_h: Fraction, w: float, beta: Fraction,
-                 m: Fraction | None) -> float:
-    """Weighted utilization w * SU_L + (1 - w) * SU_H at the best alpha_star."""
-    if m is None or m <= 0:
-        # alpha_star saturates at 1 regardless of beta.
-        return w * float(beta * u_h + u_l) + (1.0 - w) * float(u_l + u_h)
-    return (
-        float(u_h) * (1.0 - w)
-        + float(u_l)
-        + float(u_h) * w * float(beta)
-        - float(u_l) * (1.0 - w) * float(m) / (1.0 - float(beta))
-    )
-
-
 def total_system_utilization(ts: TaskSet, w: float, beta_star) -> float:
     """Weighted system utilization w * SU_L + (1 - w) * SU_H for a beta choice.
 
-    The LC service level is set to the largest value admissible at
-    ``beta_star``.  ``w`` expresses how much the nominal mode is worth
+    The LC service level is set to the largest value admissible at the
+    exact ``beta_star``.  ``w`` expresses how much the nominal mode is worth
     relative to the degraded mode and may be any float in [0, 1].
 
     Raises:
@@ -200,13 +186,20 @@ def total_system_utilization(ts: TaskSet, w: float, beta_star) -> float:
     """
     if not 0.0 <= w <= 1.0:
         raise InvalidFraction(f"w must lie in [0, 1], got {w}")
-    b = unit_fraction(beta_star if not isinstance(beta_star, float) else Fraction(beta_star),
-                      "beta_star")
+    b = unit_fraction(beta_star, "beta_star")
     u_l, u_h = utilizations(ts)
     m = threshold_m(ts)
-    if m is not None and m > 0 and float(b) > float(1 - m) + SU_SLACK:
+    if m is None or m <= 0:
+        # alpha_star saturates at 1 regardless of beta.
+        return w * float(b * u_h + u_l) + (1.0 - w) * float(u_l + u_h)
+    if float(b) > float(1 - m) + SU_SLACK:
         raise Infeasible(f"beta_star {b} exceeds 1 - M = {1 - m}")
-    return _su_weighted(u_l, u_h, w, b, m)
+    return (
+        float(u_h) * (1.0 - w)
+        + float(u_l)
+        + float(u_h) * w * float(b)
+        - float(u_l) * (1.0 - w) * float(m) / (1.0 - float(b))
+    )
 
 
 def optimal_beta_for_su(ts: TaskSet, w: float) -> float:

@@ -168,17 +168,16 @@ def _cmd_simulate(args) -> int:
     cfg = SimConfig(policy, x, horizon=args.horizon)
 
     if args.jobs_csv:
-        jobs = load_jobs_csv(args.jobs_csv)
         try:
+            jobs = load_jobs_csv(args.jobs_csv)
             validate_jobs(ts, jobs)
-        except InvalidJobSequence as exc:
+        except (InputError, InvalidJobSequence) as exc:
             raise InputError(f"simulate: {args.jobs_csv}: {exc}") from None
     else:
         if args.horizon is None:
             raise InputError("simulate: generating jobs needs --horizon")
         model = parse_demand_model(args.demand_model)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
-        jobs = gen_job_sequence(ts, args.horizon, model, rng)
+        jobs = gen_job_sequence(ts, args.horizon, model, np.random.SeedSequence(args.seed))
 
     trace = simulate(ts, cfg, jobs)
     t_star = mode_switch_instant(trace)
@@ -234,10 +233,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_prob(args) -> int:
-    if args.dist in BUILTIN_DISTRIBUTIONS:
-        dist = BUILTIN_DISTRIBUTIONS[args.dist]
-    else:
-        dist = load_distribution(args.dist)
+    try:
+        dist = BUILTIN_DISTRIBUTIONS.get(args.dist) or load_distribution(args.dist)
+    except InputError as exc:
+        raise InputError(f"prob: {args.dist}: {exc}") from None
     betas = [unit_fraction(b, "prob: --beta-star")
              for b in _frac_list(args.beta_star, "prob: --beta-star")]
     ns = range(1, 9) if args.n is None else [args.n]
@@ -350,8 +349,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     # Out-of-range service levels, weights and deadline factors can only
-    # come from options here, so they are usage errors too.
-    except (InputError, InvalidFraction, FileNotFoundError) as exc:
+    # come from options here, so they are usage errors too, as are files
+    # named in arguments that cannot be read or written.
+    except (InputError, InvalidFraction, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except McSchedError as exc:

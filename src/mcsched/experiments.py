@@ -36,7 +36,6 @@ from .generator import (
     GenParams,
     GridDemand,
     UniformDemand,
-    _coerce_rng,
     band_label,
     gen_job_sequence,
     gen_taskset,
@@ -69,6 +68,9 @@ from .taskmodel import (
 DEFAULT_SEED = 1
 
 W_GRID = tuple(k / 50 for k in range(1, 51))
+
+_FIGURE2_U_SUM = Fraction(3, 2)  # U_L + U_H of the synthetic sets
+_FIGURE4_U_SUM = Fraction(13, 10)
 
 
 @dataclass(frozen=True)
@@ -166,27 +168,25 @@ def run_table3_dynamic(spec: ExperimentSpec) -> list[tuple]:
     return rows
 
 
-def figure2_grid(u_sum: Fraction = Fraction(3, 2)
-                 ) -> tuple[list[Fraction], list[float]]:
-    u_l_grid = [Fraction(k, 10) for k in range(10, 0, -1)
-                if 0 < u_sum - Fraction(k, 10) <= 1]
-    u_l_grid = sorted(u for u in u_l_grid if u <= 1)
+def figure2_grid() -> tuple[list[Fraction], list[float]]:
+    u_l_grid = [Fraction(k, 10) for k in range(1, 11)
+                if 0 < _FIGURE2_U_SUM - Fraction(k, 10) <= 1]
     return u_l_grid, list(W_GRID)
 
 
-def run_figure2(spec: ExperimentSpec, u_sum: Fraction = Fraction(3, 2)) -> list[tuple]:
+def run_figure2(spec: ExperimentSpec) -> list[tuple]:
     """Bandwidth scale that maximizes weighted utilization, over a grid."""
-    u_l_grid, w_grid = figure2_grid(u_sum)
+    u_l_grid, w_grid = figure2_grid()
     rows = []
     for u_l in u_l_grid:
-        ts = taskset_with_utilizations(u_l, u_sum - u_l)
+        ts = taskset_with_utilizations(u_l, _FIGURE2_U_SUM - u_l)
         for w in w_grid:
             rows.append((float(u_l), w, optimal_beta_for_su(ts, w)))
     write_rows(
         Path(spec.out_dir) / "figure2.csv",
         ["U_L", "w", "beta_opt"],
         rows,
-        f"mcsched {__version__} name=figure2 seed={spec.seed} u_sum={u_sum}",
+        f"mcsched {__version__} name=figure2 seed={spec.seed} u_sum={_FIGURE2_U_SUM}",
     )
     return rows
 
@@ -232,20 +232,20 @@ def su_row(ts: TaskSet, w: float) -> tuple[float, float, float, float]:
     return beta_opt, su_dyn, su_static, su_dyn / su_static
 
 
-def run_figure4(spec: ExperimentSpec, u_sum: Fraction = Fraction(13, 10)) -> list[tuple]:
+def run_figure4(spec: ExperimentSpec) -> list[tuple]:
     """Weighted utilization of the dynamic design relative to the static one."""
     u_l_grid = [Fraction(k, 100) for k in (40, 50, 65, 80, 100)
-                if 0 < u_sum - Fraction(k, 100) <= 1]
+                if 0 < _FIGURE4_U_SUM - Fraction(k, 100) <= 1]
     rows = []
     for u_l in u_l_grid:
-        ts = taskset_with_utilizations(u_l, u_sum - u_l)
+        ts = taskset_with_utilizations(u_l, _FIGURE4_U_SUM - u_l)
         for w in W_GRID:
             rows.append((float(u_l), w, *su_row(ts, w)[1:]))
     write_rows(
         Path(spec.out_dir) / "figure4.csv",
         ["U_L", "w", "su_dynamic", "su_static", "ratio"],
         rows,
-        f"mcsched {__version__} name=figure4 seed={spec.seed} u_sum={u_sum}",
+        f"mcsched {__version__} name=figure4 seed={spec.seed} u_sum={_FIGURE4_U_SUM}",
     )
     return rows
 
@@ -276,7 +276,7 @@ def random_feasible_scenario(seed_material, *, switchy: bool = False,
     ``fine_demands`` draws demand scales on a fine prime-denominator lattice
     to keep budget boundaries off the release lattice.
     """
-    rng = _coerce_rng(seed_material)
+    rng = np.random.default_rng(seed_material)
     n_lc = int(rng.integers(1, 3, endpoint=True))
     n_hc = int(rng.integers(1, 3, endpoint=True))
     u_l = Fraction(int(rng.integers(10, 90, endpoint=True)), 100)
@@ -333,10 +333,10 @@ def random_feasible_scenario(seed_material, *, switchy: bool = False,
     return Scenario(ts, alpha_star, beta, x, jobs, horizon)
 
 
-def switch_inducing_scenario(seed: int, trial: int, *, attempts: int = 50,
+def switch_inducing_scenario(seed: int, trial: int, *,
                              fine_demands: bool = False) -> tuple[Scenario, Fraction]:
-    """A scenario whose dynamic run degrades; returns it with its t*."""
-    for attempt in range(attempts):
+    """A scenario whose dynamic run degrades (in 50 draws), with its t*."""
+    for attempt in range(50):
         sc = random_feasible_scenario(
             np.random.SeedSequence((seed, trial, attempt)),
             switchy=True, fine_demands=fine_demands)
@@ -344,13 +344,13 @@ def switch_inducing_scenario(seed: int, trial: int, *, attempts: int = 50,
         t_star = mode_switch_instant(trace)
         if t_star is not None:
             return sc, t_star
-    raise McSchedError(f"no degradation found for trial {trial} in {attempts} attempts")
+    raise McSchedError(f"no degradation found for trial {trial} in 50 attempts")
 
 
 def random_budget_vectors(ts: TaskSet, beta_star: Fraction, rng, count: int,
                           include: Sequence[dict] = ()) -> list[dict]:
     """Fixed budget vectors whose bandwidth never exceeds the pool."""
-    rng = _coerce_rng(rng)
+    rng = np.random.default_rng(rng)
     _, u_h = utilizations(ts)
     pool = beta_star * u_h
     hc = ts.hc_tasks
@@ -372,18 +372,16 @@ def run_lemma2_fuzz(spec: ExperimentSpec, *, vectors_per_sequence: int = 20
     for trial in range(trials):
         sc = random_feasible_scenario(
             np.random.SeedSequence((spec.seed, 2, trial)), switchy=True)
-        rng = _coerce_rng(np.random.SeedSequence((spec.seed, 3, trial)))
+        rng = np.random.SeedSequence((spec.seed, 3, trial))
         trace = simulate(sc.ts, sc.config(), sc.jobs, stop_after_switch=True)
-        t_dyn = mode_switch_instant(trace)
+        switch_ev = next((ev for ev in trace.events if ev.snapshot is not None), None)
         include = [{t.id: Fraction(0) for t in sc.ts.hc_tasks}]
-        switch_ev = next((ev for ev in trace.events
-                          if ev.snapshot is not None), None)
         if switch_ev is not None:
-            include.append({tid: val for tid, val in switch_ev.snapshot})
+            include.append(dict(switch_ev.snapshot))
         vecs = random_budget_vectors(sc.ts, sc.beta_star, rng,
                                      vectors_per_sequence, include)
         ok = check_lemma2_optimality(sc.ts, sc.beta_star, sc.jobs, vecs, x=sc.x)
-        rows.append((trial, "" if t_dyn is None else t_dyn, int(ok)))
+        rows.append((trial, "" if switch_ev is None else switch_ev.time, int(ok)))
     return rows
 
 

@@ -96,17 +96,7 @@ class GenParams:
                 f"got {self.t_max}")
 
 
-RngLike = Union[int, np.random.SeedSequence, np.random.Generator, None]
-
-
-def _coerce_rng(rng: RngLike, fallback_seed: int = 0) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if isinstance(rng, np.random.SeedSequence):
-        return np.random.Generator(np.random.PCG64(rng))
-    if rng is None:
-        rng = fallback_seed
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng)))
+RngLike = Union[int, np.random.SeedSequence, np.random.Generator]
 
 
 _WORDS_PER_BATCH = 32
@@ -222,18 +212,18 @@ def gen_task(params: GenParams, rng: RngLike, task_id: int = 1) -> McTask:
     uniform on [C_L, rc * C_L]; periods are uniform on [C, t_max].  All
     uniforms are discretized to ``resolution`` ticks.
     """
-    return _task_of(params, _draw_ticks(params, _coerce_rng(rng, params.seed)),
-                    task_id)
+    return _task_of(params, _draw_ticks(params, np.random.default_rng(rng)), task_id)
 
 
-def gen_taskset(params: GenParams, rng: RngLike = None) -> TaskSet:
+def gen_taskset(params: GenParams,
+                rng: int | np.random.SeedSequence | None = None) -> TaskSet:
     """Grow task sets until the average utilization lands in the band.
 
     Adding a task strictly increases the average utilization, so each
     attempt terminates; attempts that overshoot the band restart with a
-    fresh child stream: a PCG64 on the next child of a ``Generator``'s seed
-    sequence (what ``Generator.spawn`` gives for a PCG64 ``Generator``), or
-    on a ``(root, attempt)`` seed sequence otherwise.  The running sum is
+    fresh child stream: a PCG64 on the seed sequence's spawn key extended
+    by the attempt number, or on a ``(root, attempt)`` seed sequence for an
+    int root (``None`` reads ``params.seed``).  The running sum is
     kept as an exact integer ratio of ticks, and tasks are built only for
     the attempt that lands.
 
@@ -245,9 +235,7 @@ def gen_taskset(params: GenParams, rng: RngLike = None) -> TaskSet:
     lo_n, lo_d = 2 * lo.numerator, lo.denominator
     hi_n, hi_d = 2 * hi.numerator, hi.denominator
     for attempt in range(params.max_restarts):
-        if isinstance(rng, np.random.Generator):
-            bitgen = np.random.PCG64(rng.bit_generator.seed_seq.spawn(1)[0])
-        elif isinstance(rng, np.random.SeedSequence):
+        if isinstance(rng, np.random.SeedSequence):
             bitgen = np.random.PCG64(np.random.SeedSequence(
                 entropy=rng.entropy, spawn_key=rng.spawn_key + (attempt,)))
         else:
@@ -284,19 +272,18 @@ class GridDemand:
 
 @dataclass(frozen=True)
 class UniformDemand:
-    """HC demand scales are uniform on [lo, hi], discretized to ``resolution``."""
+    """HC demand scales are uniform on [lo, hi], discretized to thousandths."""
 
     lo: Fraction = Fraction(1, 10)
     hi: Fraction = Fraction(1)
-    resolution: int = 1000
 
     def __post_init__(self):
         lo = as_fraction(self.lo, "lo")
         hi = as_fraction(self.hi, "hi")
         if not 0 < lo <= hi <= 1:
             raise ValueError(f"scale range must satisfy 0 < lo <= hi <= 1, got {lo}, {hi}")
-        if (lo * self.resolution).denominator != 1 or (hi * self.resolution).denominator != 1:
-            raise ValueError("lo and hi must be multiples of 1/resolution")
+        if (lo * 1000).denominator != 1 or (hi * 1000).denominator != 1:
+            raise ValueError("lo and hi must be multiples of 1/1000")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -321,9 +308,8 @@ def _draw_scale(model: DemandModel, rng: np.random.Generator) -> Fraction:
     if isinstance(model, ConstantDemand):
         return model.scale
     if isinstance(model, UniformDemand):
-        lo = int(model.lo * model.resolution)
-        hi = int(model.hi * model.resolution)
-        return Fraction(int(rng.integers(lo, hi, endpoint=True)), model.resolution)
+        lo, hi = int(model.lo * 1000), int(model.hi * 1000)
+        return Fraction(int(rng.integers(lo, hi, endpoint=True)), 1000)
     u = float(rng.random())
     for g, c in zip(model.dist.grid, model.dist.cdf):
         if u <= float(c):
@@ -352,21 +338,16 @@ def parse_demand_model(text: str) -> DemandModel:
 
 
 def gen_job_sequence(ts: TaskSet, horizon, demand_model: DemandModel,
-                     rng: RngLike, *, jitter=Fraction(0),
-                     jitter_resolution: int = 100) -> tuple[Job, ...]:
+                     rng: RngLike) -> tuple[Job, ...]:
     """Release jobs for every task over [0, horizon).
 
-    Releases start at 0 and step by the period plus an optional uniform
-    jitter in [0, jitter], so separations never undercut the period.  LC
-    jobs demand their full WCET; HC jobs demand a scaled WCET according to
-    ``demand_model``.  Tasks are processed in task-set order, so one stream
-    yields a deterministic sequence.
+    Releases start at 0 and step by the period.  LC jobs demand their full
+    WCET; HC jobs demand a scaled WCET according to ``demand_model``.
+    Tasks are processed in task-set order, so one stream yields a
+    deterministic sequence.
     """
     horizon = as_fraction(horizon, "horizon")
-    jitter = as_fraction(jitter, "jitter")
-    if jitter < 0:
-        raise ValueError("jitter must be non-negative")
-    rng = _coerce_rng(rng)
+    rng = np.random.default_rng(rng)
     jobs: list[Job] = []
     for task in ts.tasks:
         release = Fraction(0)
@@ -378,11 +359,6 @@ def gen_job_sequence(ts: TaskSet, horizon, demand_model: DemandModel,
                 demand = task.wcet
             jobs.append(Job(task.id, release, demand, seq))
             seq += 1
-            step = task.period
-            if jitter > 0:
-                ticks = int(jitter * jitter_resolution)
-                step += Fraction(int(rng.integers(0, ticks, endpoint=True)),
-                                 jitter_resolution)
-            release += step
+            release += task.period
     jobs.sort(key=lambda j: (j.release, j.task, j.seq))
     return tuple(jobs)

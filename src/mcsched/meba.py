@@ -12,7 +12,6 @@ idle instant resets the bookkeeping and returns the system to nominal.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetOverrun, WrongMode
@@ -22,20 +21,6 @@ from .taskmodel import TaskSet, Time, unit_fraction, utilizations
 class Mode(enum.Enum):
     LC = "LC"
     HC = "HC"
-
-
-@dataclass(frozen=True)
-class ModeSwitchInfo:
-    """Snapshot produced when a budget exhaustion degrades the system.
-
-    ``e_m`` is a copy of the per-task execution maxima at the switch instant,
-    with the triggering job's consumption folded in, so the maxima exactly
-    exhaust the reserved pool.
-    """
-
-    t_star: Time
-    trigger: int
-    e_m: dict[int, Time]
 
 
 class MebaState:
@@ -92,8 +77,8 @@ class MebaState:
         self.b[task_id] = grant
         return grant
 
-    def on_budget_exhausted(self, task_id: int, now: Time) -> ModeSwitchInfo:
-        """Record a budget exhaustion and degrade the system.
+    def on_budget_exhausted(self, task_id: int) -> tuple[tuple[int, Time], ...]:
+        """Degrade the system; returns the ``(task id, maximum)`` pairs by id.
 
         The triggering job has consumed exactly ``b[task_id]`` without
         completing; folding that amount into ``e_m`` makes the maxima exhaust
@@ -106,7 +91,7 @@ class MebaState:
             raise WrongMode("cannot degrade twice in one busy interval")
         self.e_m[task_id] = max(self.e_m[task_id], self.b[task_id])
         self.mode = Mode.HC
-        return ModeSwitchInfo(t_star=now, trigger=task_id, e_m=dict(self.e_m))
+        return tuple(sorted(self.e_m.items()))
 
     def on_preempt_or_complete(self, task_id: int, e_consumed: Time) -> None:
         """Fold a job's cumulative consumption into its task's maximum.

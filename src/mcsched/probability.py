@@ -25,8 +25,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .errors import GridOverflow, InvalidFraction
-from .taskmodel import as_fraction, unit_fraction
+from .errors import GridOverflow, InputError, InvalidFraction
+from .taskmodel import as_fraction, read_text, unit_fraction
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,8 @@ class ExecDistribution:
 def parse_distribution(text: str) -> ExecDistribution:
     """Parse a distribution file: one ``scale cdf`` pair per line.
 
-    Blank lines and ``#`` comments are ignored; values are rationals.
+    Blank lines and ``#`` comments are ignored; values are rationals.  A
+    malformed line or an invalid distribution raises :class:`InputError`.
     """
     pairs = []
     for no, raw in enumerate(text.splitlines(), start=1):
@@ -93,19 +94,21 @@ def parse_distribution(text: str) -> ExecDistribution:
             continue
         fields = line.split()
         if len(fields) != 2:
-            raise ValueError(f"line {no}: expected 'scale cdf', got {raw!r}")
+            raise InputError(f"line {no}: expected 'scale cdf', got {raw!r}")
         try:
             pairs.append((Fraction(fields[0]), Fraction(fields[1])))
         except (ValueError, ZeroDivisionError):
-            raise ValueError(f"line {no}: bad rational in {raw!r}") from None
+            raise InputError(f"line {no}: bad rational in {raw!r}") from None
     if not pairs:
-        raise ValueError("distribution file holds no data lines")
-    return ExecDistribution.from_pairs(pairs)
+        raise InputError("distribution file holds no data lines")
+    try:
+        return ExecDistribution.from_pairs(pairs)
+    except (ValueError, InvalidFraction) as exc:
+        raise InputError(str(exc)) from None
 
 
 def load_distribution(path) -> ExecDistribution:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_distribution(fh.read())
+    return parse_distribution(read_text(path))
 
 
 def _tenths(n: int) -> Fraction:

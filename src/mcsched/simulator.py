@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,6 +45,7 @@ from .taskmodel import (
     TaskSet,
     Time,
     as_fraction,
+    read_text,
     utilizations,
 )
 from .analysis import map_to_static, static_split
@@ -188,7 +190,6 @@ class ScheduleTrace:
 
     events: tuple[TraceEvent, ...]
     jobs: tuple[Job, ...]
-    horizon: Time | None = None
 
     def service_segments(self) -> dict[tuple[int, int], list[tuple[Time, Time]]]:
         """Per-job execution segments [(start, end), ...], zero-length removed.
@@ -211,14 +212,6 @@ class ScheduleTrace:
                 if start is not None and ev.time > start:
                     segs[key].append((start, ev.time))
         return segs
-
-    def served_by(self, segments: Sequence[tuple[Time, Time]], t: Time) -> Time:
-        total = Fraction(0)
-        for s, e in segments:
-            if s >= t:
-                break
-            total += min(e, t) - s
-        return total
 
 
 def mode_switch_instant(trace: ScheduleTrace) -> Time | None:
@@ -349,10 +342,7 @@ def simulate(ts: TaskSet, cfg: SimConfig, jobs: Sequence[Job], *,
 
     def degrade(t: Time, trigger: _Run):
         nonlocal mode
-        snapshot = None
-        if meba is not None:
-            info = meba.on_budget_exhausted(trigger.task.id, t)
-            snapshot = tuple(sorted(info.e_m.items()))
+        snapshot = None if meba is None else meba.on_budget_exhausted(trigger.task.id)
         emit(EventKind.MODE_SWITCH, t, trigger,
              detail=f"trigger={trigger.task.id}", snapshot=snapshot)
         mode = Mode.HC
@@ -439,7 +429,7 @@ def simulate(ts: TaskSet, cfg: SimConfig, jobs: Sequence[Job], *,
                  detail=f"deadline={running.deadline}")
         # "release" falls through; the loop head admits it.
 
-    return ScheduleTrace(tuple(events), ordered, cfg.horizon)
+    return ScheduleTrace(tuple(events), ordered)
 
 
 @dataclass(frozen=True)
@@ -519,9 +509,8 @@ def verify_mc_schedulable(ts: TaskSet, cfg: SimConfig, trace: ScheduleTrace
     periods = {t.id: ticks(t.period) for t in ts.tasks}
     deadlines = {(j.task, j.seq): ticks(j.release) + periods[j.task] for j in trace.jobs}
 
-    # Service by the deadline, segment by segment in trace order; as in
-    # ScheduleTrace.served_by, a job's first segment that starts at or
-    # after its deadline ends its count.
+    # Service by the deadline in trace order; as in served_by of the test
+    # oracles, a job's first segment starting at or after it ends the count.
     served = dict.fromkeys(deadlines, 0)
     counted_out: set[tuple[int, int]] = set()
     open_at: dict[tuple[int, int], int] = {}
@@ -892,25 +881,21 @@ def check_mapping_equivalence(ts: TaskSet, alphas, x, jobs: Sequence[Job], *,
     ``k`` belongs to task ``k // 2``) up to the end of the busy interval
     containing the switch (the static budgets are a snapshot of that
     interval, so later intervals are allowed to diverge).  Runs without a
-    degradation are compared over the whole horizon using per-task global
-    execution maxima.
+    degradation are compared over the whole trace, with each HC task's
+    largest job demand as its budget.
     """
     ts_dyn = ts.with_alphas(dict(alphas)) if alphas is not None else ts
     trace_dyn = simulate(ts_dyn, SimConfig(EdfUvdMeba(beta_star), x), jobs)
-    t_star = mode_switch_instant(trace_dyn)
-
-    if t_star is not None:
-        switch_ev = next(ev for ev in trace_dyn.events
-                         if ev.kind is EventKind.MODE_SWITCH)
-        e_m = dict(switch_ev.snapshot or ())
+    switch_ev = next((ev for ev in trace_dyn.events
+                      if ev.kind is EventKind.MODE_SWITCH), None)
+    if switch_ev is not None:
+        t_star = switch_ev.time
+        e_m = dict(switch_ev.snapshot)
     else:
-        # Every job ran to completion within its budget; the global per-task
-        # maximum is a sound static budget for every busy interval.
-        e_m = {t.id: Fraction(0) for t in ts_dyn.hc_tasks}
-        for (task_id, _seq), segments in trace_dyn.service_segments().items():
-            if task_id in e_m:
-                consumed = sum((e - s for s, e in segments), Fraction(0))
-                e_m[task_id] = max(e_m[task_id], consumed)
+        # Every job completed, so each HC task's largest demand is a sound budget.
+        t_star = None
+        e_m = {t.id: max((j.demand for j in trace_dyn.jobs if j.task == t.id),
+                         default=Fraction(0)) for t in ts_dyn.hc_tasks}
 
     mapped_jobs = map_jobs_to_static(ts_dyn, trace_dyn.jobs, t_star)
     trace_static = simulate(map_to_static(ts_dyn, e_m), SimConfig(EdfVdStatic(), x),
@@ -933,18 +918,18 @@ def load_jobs_csv(path) -> tuple[Job, ...]:
         InputError: if a column is missing or a row does not parse.
     """
     entries = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(row for row in fh if not row.startswith("#"))
-        missing = [c for c in ("task", "release", "demand")
-                   if c not in (reader.fieldnames or ())]
-        if missing:
-            raise InputError(f"{path}: missing column(s) {', '.join(missing)}")
-        for row in reader:
-            try:
-                entries.append((int(row["task"]), Fraction(row["release"]),
-                                Fraction(row["demand"])))
-            except (TypeError, ValueError, ZeroDivisionError):
-                raise InputError(f"{path}: bad job row {row}") from None
+    lines = io.StringIO(read_text(path), newline="")
+    reader = csv.DictReader(row for row in lines if not row.startswith("#"))
+    missing = [c for c in ("task", "release", "demand")
+               if c not in (reader.fieldnames or ())]
+    if missing:
+        raise InputError(f"missing column(s) {', '.join(missing)}")
+    for row in reader:
+        try:
+            entries.append((int(row["task"]), Fraction(row["release"]),
+                            Fraction(row["demand"])))
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise InputError(f"bad job row {row}") from None
     return make_jobs(entries)
 
 

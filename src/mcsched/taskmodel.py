@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping
 
-from .errors import InvalidFraction, NoLcTasks, TaskSetParseError
+from .errors import InputError, InvalidFraction, NoLcTasks, TaskSetParseError
 
 Time = Fraction
 
@@ -335,9 +335,18 @@ def parse_taskset(text: str) -> TaskSet:
         raise TaskSetParseError(len(lines), str(exc)) from None
 
 
+def read_text(path) -> str:
+    """A UTF-8 input file's text; undecodable bytes are an :class:`InputError`
+    (which, like the parse errors, leaves naming the file to the caller)."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"not UTF-8 text ({exc.reason})") from None
+
+
 def load_taskset(path) -> TaskSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_taskset(fh.read())
+    return parse_taskset(read_text(path))
 
 
 def save_taskset(ts: TaskSet, path) -> None:

@@ -6,9 +6,10 @@ segments at every event, so it costs O(events x segments);
 instants linearly; ``edf_dispatch_violations`` rebuilds the effective
 deadline of every released, unclosed job at every dispatch, so it costs
 O(dispatches x jobs), on those linear mode lookups.  All of them compute
-in exact ``Fraction``s.  They are kept here, outside the package, as the
-reference the integer-tick audits in :mod:`mcsched.simulator` must agree
-with message for message.  One known difference: ``service_segments``
+in exact ``Fraction``s, and ``served_by`` counts a job's service before
+an instant the way the verifier does.  They are kept here, outside the
+package, as the reference the integer-tick audits in
+:mod:`mcsched.simulator` must agree with message for message.  One known difference: ``service_segments``
 drops a segment that is still open at the end of the trace, so on
 ``stop_after_switch`` traces this pool oracle misses the trigger's final
 segment and reports ``!= pool``; the tests hand it such traces with that
@@ -22,6 +23,17 @@ from fractions import Fraction
 from mcsched.meba import Mode
 from mcsched.simulator import EventKind, Job, ScheduleTrace, SimConfig, Violation
 from mcsched.taskmodel import TaskSet, Time, as_fraction, utilizations
+
+
+def served_by(segments, t: Time) -> Time:
+    """Service from ``segments`` before ``t``; the first segment that starts
+    at or after ``t`` ends the count."""
+    total = Fraction(0)
+    for s, e in segments:
+        if s >= t:
+            break
+        total += min(e, t) - s
+    return total
 
 
 def mode_timeline(trace: ScheduleTrace) -> list[tuple[Time, Mode]]:
@@ -58,7 +70,7 @@ def verify_mc_schedulable(ts: TaskSet, cfg: SimConfig, trace: ScheduleTrace
         deadline = job.release + task.period
         if horizon is not None and deadline > horizon:
             continue
-        served = trace.served_by(segs[(job.task, job.seq)], deadline)
+        served = served_by(segs[(job.task, job.seq)], deadline)
         degraded = (any(job.release <= t <= deadline for t in switch_times)
                     or mode_at(timeline, job.release) is Mode.HC)
         if task.is_hc:
@@ -115,7 +127,7 @@ def pool_utilization_violations(ts: TaskSet, beta_star, trace: ScheduleTrace
                 problems.append(
                     f"t*={ev.time}: maxima utilization {total} != pool {pool}")
             key = (ev.task, ev.job)
-            if key in demands and trace.served_by(segs[key], ev.time) >= demands[key]:
+            if key in demands and served_by(segs[key], ev.time) >= demands[key]:
                 problems.append(f"t*={ev.time}: triggering job already complete")
             switched = True
         elif total > pool:

@@ -224,7 +224,7 @@ def test_verify_matches_its_oracle_at_a_decreasing_time(seed, policy, where, bac
 
 
 def test_verify_stops_a_job_count_at_its_first_late_segment_as_its_oracle():
-    # as ScheduleTrace.served_by reads it, a job's service stops at its
+    # as the oracle's served_by reads it, a job's service stops at its
     # first segment that starts at or after the deadline, even when a later
     # event of a forged trace adds an earlier segment
     ts = TaskSet((McTask(1, F(10), F(2), Criticality.LC, alpha=F(1, 2)),))

@@ -348,6 +348,29 @@ def test_cli_malformed_taskset_exit_code(tmp_path, capsys):
       "--horizon", "0"], "--horizon must be positive, got 0"),
     (["simulate", "--taskset", "{set}", "--policy", "vd", "--x", "1/2",
       "--horizon=-5/2"], "--horizon must be positive, got -5/2"),
+    (["prob", "--dist", "{dir}/short_cdf.txt"],
+     "prob: {dir}/short_cdf.txt: cdf must reach exactly 1"),
+    (["prob", "--dist", "{dir}/word.txt"],
+     "prob: {dir}/word.txt: line 2: expected 'scale cdf', got 'abc'"),
+    (["prob", "--dist", "{dir}/ragged.txt"],
+     "prob: {dir}/ragged.txt: line 1: bad rational in '1/2 x'"),
+    (["prob", "--dist", "{dir}/cdf_above_one.txt"],
+     "prob: {dir}/cdf_above_one.txt: cdf value must lie in [0, 1], got 2"),
+    (["prob", "--dist", "{dir}/latin1.txt"],
+     "prob: {dir}/latin1.txt: not UTF-8 text"),
+    (["prob", "--dist", "{dir}/subdir"], "Is a directory: '{dir}/subdir'"),
+    (["analyze", "--taskset", "{dir}/latin1.txt"], "error: not UTF-8 text"),
+    (["analyze", "--taskset", "{dir}/subdir"], "Is a directory: '{dir}/subdir'"),
+    (["simulate", "--taskset", "{set}", "--policy", "vd", "--x", "1/2",
+      "--jobs-csv", "{dir}/latin1.txt"],
+     "simulate: {dir}/latin1.txt: not UTF-8 text"),
+    (["simulate", "--taskset", "{set}", "--policy", "vd", "--x", "1/2",
+      "--jobs-csv", "{dir}/subdir"], "Is a directory: '{dir}/subdir'"),
+    (["simulate", "--taskset", "{set}", "--policy", "vd", "--x", "1/2",
+      "--horizon", "10", "--trace", "{dir}/subdir"], "Is a directory: '{dir}/subdir'"),
+    (["prob", "--n", "1", "--out", "{dir}/word.txt"], "File exists: '{dir}/word.txt'"),
+    (["experiment", "figure2", "--out", "{dir}/word.txt"],
+     "File exists: '{dir}/word.txt'"),
 ])
 def test_cli_usage_errors_exit_2(tmp_path, capsys, half_four_fifths_set,
                                  argv, message):
@@ -356,8 +379,15 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, half_four_fifths_set,
                       ("long_demand", "2,0,9/2"), ("negative_release", "1,-1,1"),
                       ("too_close", "1,0,1\n1,5,1")):
         (tmp_path / f"{name}.csv").write_text(f"task,release,demand\n{row}\n")
-    argv = ([arg.format(set=path, dir=tmp_path) for arg in argv]
-            + ["--out", str(tmp_path)])
+    for name, text in (("short_cdf", "1/2 1/2\n1 9/10\n"), ("word", "1 1\nabc\n"),
+                       ("ragged", "1/2 x\n"), ("cdf_above_one", "1 2\n")):
+        (tmp_path / f"{name}.txt").write_text(text)
+    (tmp_path / "latin1.txt").write_bytes("taskset v1\n# \u00e9t\u00e9\n".encode("latin-1"))
+    (tmp_path / "subdir").mkdir()
+    argv = [arg.format(set=path, dir=tmp_path) for arg in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path)]
+    message = message.format(dir=tmp_path)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -1,14 +1,16 @@
-"""Fault injection for the trace audits.
+"""Fault injection for the trace audits and the property checks.
 
-Each row swaps one rule of the scheduler or of the budget pool for a faulty
-one through ``monkeypatch`` (the package has no hook for it), simulates,
-and checks that the named audit reports the fault.  Every row runs against
-the tick audit in the package (``sweep``) and its test-only oracle, and
-first checks that both are silent on the same runs without the fault.
+Each row swaps one rule of the scheduler, of the budget pool or of the
+static reduction for a faulty one through ``monkeypatch`` (the package has
+no hook for it), simulates, and checks that the named check reports the
+fault.  Every audit row runs against the tick audit in the package
+(``sweep``) and its test-only oracle.  Every row first checks that the
+check is silent on the same runs without the fault.
 """
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import audit_oracles as oracle
@@ -18,12 +20,21 @@ from mcsched import (
     McTask,
     SimConfig,
     TaskSet,
+    analysis,
+    check_lemma2_optimality,
+    check_mapping_equivalence,
     edf_dispatch_violations,
     make_jobs,
+    mode_switch_instant,
     pool_utilization_violations,
     simulate,
     simulator,
     verify_mc_schedulable,
+)
+from mcsched.experiments import (
+    random_budget_vectors,
+    random_feasible_scenario,
+    switch_inducing_scenario,
 )
 from mcsched.meba import MebaState
 from test_audit_oracles import POLICIES, closed_at_stop, scenario_run
@@ -53,6 +64,15 @@ def grants_the_whole_pool(self, task_id):
 def pool_runs(seed, *, switchy):
     return [scenario_run(seed, i, "pool", switchy=switchy, fine=False)
             for i in range(RUNS)]
+
+
+def shifted_jobs(ts, jobs, seed_material):
+    """``jobs`` with each task's releases moved later by a seeded fraction
+    of its period, so drawn tasks stop releasing together at t=0 and busy
+    intervals end in an idle more often before the first degradation."""
+    rng = np.random.default_rng(seed_material)
+    offset = {t.id: t.period * F(int(rng.integers(0, 100)), 100) for t in ts.tasks}
+    return make_jobs((j.task, j.release + offset[j.task], j.demand) for j in jobs)
 
 
 @pytest.mark.parametrize("audit", AUDITS)
@@ -124,6 +144,32 @@ def test_pool_audit_catches_maxima_kept_across_idle(audit, monkeypatch):
         "t*=11: maxima utilization 1/10 != pool 1/2"]
 
 
+@pytest.mark.parametrize("audit", POOL_AUDITS)
+def test_pool_audit_catches_maxima_kept_across_idle_on_drawn_runs(audit, monkeypatch):
+    # The drawn version of the row above: with shifted releases, drawn runs
+    # go idle before their first degradation often enough for the leak to
+    # show.  The runs stop at the switch, as above.
+    if audit == "oracle":
+        def audit(ts, beta, trace):
+            return oracle.pool_utilization_violations(ts, beta, closed_at_stop(trace))
+    else:
+        audit = POOL_AUDITS[audit]
+    runs = []
+    for i in range(RUNS):
+        sc = random_feasible_scenario(np.random.SeedSequence((37, i)))
+        runs.append((sc, shifted_jobs(sc.ts, sc.jobs, np.random.SeedSequence((37, i, 2)))))
+    assert all(audit(sc.ts, sc.beta_star,
+                     simulate(sc.ts, sc.config(), jobs, stop_after_switch=True)) == []
+               for sc, jobs in runs)
+    monkeypatch.setattr(MebaState, "on_idle", lambda self: None)
+    caught = 0
+    for sc, jobs in runs:
+        found = audit(sc.ts, sc.beta_star,
+                      simulate(sc.ts, sc.config(), jobs, stop_after_switch=True))
+        caught += any(" != pool " in line for line in found)
+    assert caught > 4
+
+
 @pytest.mark.parametrize("verify", VERIFIERS)
 def test_verifier_catches_a_zero_lc_cap(verify, monkeypatch):
     verify = VERIFIERS[verify]
@@ -135,3 +181,72 @@ def test_verifier_catches_a_zero_lc_cap(verify, monkeypatch):
         _, violations = verify(ts, cfg, simulate(ts, cfg, trace.jobs))
         caught += any(v.reason == "lc_degraded_service" for v in violations)
     assert caught > RUNS // 2
+
+
+def test_lemma2_check_catches_halved_grants(monkeypatch):
+    # seeded as the lemma2_fuzz experiment seeds its scenarios and vectors,
+    # the zero vector and the pool's switch snapshot included
+    cases = []
+    for i in range(30):
+        sc = random_feasible_scenario(np.random.SeedSequence((53, 2, i)), switchy=True)
+        trace = simulate(sc.ts, sc.config(), sc.jobs, stop_after_switch=True)
+        include = [{t.id: F(0) for t in sc.ts.hc_tasks}]
+        include += [dict(ev.snapshot) for ev in trace.events if ev.snapshot is not None]
+        cases.append((sc, random_budget_vectors(
+            sc.ts, sc.beta_star, np.random.SeedSequence((53, 3, i)), 20, include)))
+
+    def lemma2_holds(sc, vectors):
+        return check_lemma2_optimality(sc.ts, sc.beta_star, sc.jobs, vectors, x=sc.x)
+
+    assert all(lemma2_holds(sc, vectors) for sc, vectors in cases)
+    grant = MebaState.on_dispatch
+
+    def halved_grant(self, task_id):
+        half = grant(self, task_id) / 2
+        self.b[task_id] = half
+        return half
+
+    monkeypatch.setattr(MebaState, "on_dispatch", halved_grant)
+    caught = sum(not lemma2_holds(sc, vectors) for sc, vectors in cases)
+    assert caught > len(cases) // 2
+
+
+def mapping_scenarios(switching):
+    """Ten mapping_fuzz scenarios, or the first ten drawn systems that never
+    degrade and give some LC task a degraded share."""
+    if switching:
+        return [switch_inducing_scenario(59, i, fine_demands=True)[0] for i in range(10)]
+    found = []
+    for i in range(200):
+        sc = random_feasible_scenario(np.random.SeedSequence((61, i)))
+        if (any(t.alpha > 0 for t in sc.ts.lc_tasks)
+                and mode_switch_instant(simulate(sc.ts, sc.config(), sc.jobs)) is None):
+            found.append(sc)
+            if len(found) == 10:
+                return found
+    raise AssertionError("too few non-switching draws")
+
+
+@pytest.mark.parametrize("switching", [True, False], ids=["switching", "non_switching"])
+def test_mapping_check_catches_a_shifted_static_split(switching, monkeypatch):
+    scenarios = mapping_scenarios(switching)
+
+    def equivalent(sc):
+        return check_mapping_equivalence(sc.ts, None, sc.x, sc.jobs, beta_star=sc.beta_star)
+
+    assert all(equivalent(sc) for sc in scenarios)
+    split = analysis.static_split
+
+    def shifted_split(task, amount):
+        """Moves 1/1000 of an LC task's alpha * C from the head to the tail."""
+        (head_id, head), (rest_id, rest) = split(task, amount)
+        if task.is_lc:
+            moved = min(head, task.degraded_service / 1000)
+            head, rest = head - moved, rest + moved
+        return (head_id, head), (rest_id, rest)
+
+    # map_to_static reads it from analysis, map_jobs_to_static from simulator
+    monkeypatch.setattr(analysis, "static_split", shifted_split)
+    monkeypatch.setattr(simulator, "static_split", shifted_split)
+    caught = sum(not equivalent(sc) for sc in scenarios)
+    assert caught > len(scenarios) // 4

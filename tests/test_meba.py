@@ -61,25 +61,24 @@ def test_exhaustion_snapshot_meets_pool_exactly():
     st8.on_preempt_or_complete(2, F(21, 20))
     grant = st8.on_dispatch(3)
     assert grant == F(19, 20)  # less than the 0.96 demand
-    info = st8.on_budget_exhausted(3, F(2))
+    snapshot = st8.on_budget_exhausted(3)
     assert st8.mode is Mode.HC
-    assert info.t_star == F(2) and info.trigger == 3
-    assert info.e_m == {2: F(21, 20), 3: F(19, 20)}
+    assert snapshot == ((2, F(21, 20)), (3, F(19, 20)))
     # the maxima exhaust the pool exactly at the switch
     assert st8.utilization_of_maxima() == st8.beta_budget
     # the snapshot is a copy, not a live view
     st8.on_idle()
-    assert info.e_m[3] == F(19, 20)
+    assert snapshot[1] == (3, F(19, 20))
 
 
 def test_wrong_mode_guards():
     st8 = MebaState.for_taskset(two_hc_set(), F(1, 4))
     st8.on_dispatch(2)
-    st8.on_budget_exhausted(2, F(1))
+    st8.on_budget_exhausted(2)
     with pytest.raises(WrongMode):
         st8.on_dispatch(3)
     with pytest.raises(WrongMode):
-        st8.on_budget_exhausted(3, F(2))
+        st8.on_budget_exhausted(3)
 
 
 def test_budget_overrun_guard():
@@ -92,7 +91,7 @@ def test_budget_overrun_guard():
 def test_idle_reset_is_idempotent():
     st8 = MebaState.for_taskset(two_hc_set(), F(1, 4))
     st8.on_dispatch(2)
-    st8.on_budget_exhausted(2, F(2))
+    st8.on_budget_exhausted(2)
     for _ in range(2):
         st8.on_idle()
         assert st8.mode is Mode.LC
@@ -111,7 +110,7 @@ def test_pool_never_overflows_while_nominal(steps):
         spend = grant * F(pct, 100)
         if spend >= grant and spend < F(4):
             # full-budget incomplete job: this is the switch case
-            st8.on_budget_exhausted(tid, F(0))
+            st8.on_budget_exhausted(tid)
             assert st8.utilization_of_maxima() == st8.beta_budget
             return
         st8.on_preempt_or_complete(tid, min(spend, F(4)))

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import audit_oracles as oracle
 from mcsched import (
     BudgetSumViolation,
     Criticality,
@@ -267,7 +268,7 @@ def test_verify_counts_a_switch_at_the_deadline_as_degrading():
 
 
 def test_verify_is_vacuous_on_empty_trace(half_four_fifths_set):
-    empty = ScheduleTrace(events=(), jobs=(), horizon=None)
+    empty = ScheduleTrace(events=(), jobs=())
     ok, violations = verify_mc_schedulable(half_four_fifths_set, uvd_cfg(), empty)
     assert ok and violations == []
 
@@ -322,8 +323,8 @@ def test_service_segments_and_served_by(half_four_fifths_set):
     trace = simulate(half_four_fifths_set, uvd_cfg(), jobs)
     segs = trace.service_segments()
     assert segs[(2, 0)] == [(F(0), F(21, 20))]
-    assert trace.served_by(segs[(3, 0)], F(2)) == F(19, 20)
-    assert trace.served_by(segs[(3, 0)], F(10)) == F(96, 100)
+    assert oracle.served_by(segs[(3, 0)], F(2)) == F(19, 20)
+    assert oracle.served_by(segs[(3, 0)], F(10)) == F(96, 100)
 
 
 def test_jobs_csv_round_trip(tmp_path, half_four_fifths_set):
@@ -372,7 +373,7 @@ def test_edf_auditor_flags_wrong_dispatch_order():
         TraceEvent(F(2), EventKind.COMPLETE, 2, 0),
         TraceEvent(F(2), EventKind.IDLE, None, None),
     )
-    forged = ScheduleTrace(events=events, jobs=jobs, horizon=None)
+    forged = ScheduleTrace(events=events, jobs=jobs)
     problems = edf_dispatch_violations(ts, uvd_cfg(x=F(1, 2)), forged)
     assert problems and problems[0].startswith("t=0")
 
