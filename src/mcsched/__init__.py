@@ -96,7 +96,6 @@ from .experiments import (
     Scenario,
     random_feasible_scenario,
     run_experiment,
-    run_property_suites,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -11,6 +11,7 @@ usage errors and malformed or missing input files.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from fractions import Fraction
@@ -79,6 +80,16 @@ def positive_int(text: str) -> int:
     return value
 
 
+_MAX_GENERATED_JOBS = 100_000
+
+
+def _load_taskset(command: str, path: str) -> TaskSet:
+    try:
+        return load_taskset(path)
+    except InputError as exc:
+        raise InputError(f"{command}: {path}: {exc}") from None
+
+
 def _out_dir(args) -> Path:
     out = args.out or os.environ.get("MCSCHED_OUT") or "results"
     path = Path(out)
@@ -88,7 +99,7 @@ def _out_dir(args) -> Path:
 
 def _load_or_synthesize(args) -> TaskSet:
     if args.taskset:
-        return load_taskset(args.taskset)
+        return _load_taskset("analyze", args.taskset)
     if args.u_l is None or args.u_h is None:
         raise InputError("analyze: need --taskset or both --u-l and --u-h")
     try:
@@ -137,7 +148,7 @@ def _parse_budgets(text: str) -> dict[int, Fraction]:
 
 
 def _cmd_simulate(args) -> int:
-    ts = load_taskset(args.taskset)
+    ts = _load_taskset("simulate", args.taskset)
     if args.policy == "uvd":
         if args.beta_star is None:
             raise InputError("simulate: --policy uvd needs --beta-star")
@@ -176,6 +187,10 @@ def _cmd_simulate(args) -> int:
     else:
         if args.horizon is None:
             raise InputError("simulate: generating jobs needs --horizon")
+        count = sum(math.ceil(args.horizon / t.period) for t in ts.tasks)
+        if count > _MAX_GENERATED_JOBS:
+            raise InputError(f"simulate: --horizon {args.horizon} would release {count} "
+                             f"jobs, more than {_MAX_GENERATED_JOBS}")
         model = parse_demand_model(args.demand_model)
         jobs = gen_job_sequence(ts, args.horizon, model, np.random.SeedSequence(args.seed))
 

@@ -1,11 +1,12 @@
 """Reproducible experiment drivers and randomized property suites.
 
-Every driver derives all randomness from the experiment seed through named
-``numpy`` seed sequences, writes one CSV per experiment (header row plus a
-comment line recording version, seed and parameters) and returns its rows,
-so reruns with the same ExperimentSpec are byte-identical.  The figure 3
-and 4 rows come from :func:`survival_rows` and :func:`su_row`, which the
-``prob`` and ``analyze`` commands print too.
+Every study is one row of :data:`EXPERIMENT_RUNNERS` and one rows
+function, which derives all randomness from the experiment seed through
+named ``numpy`` seed sequences.  :func:`run_experiment` writes its rows as
+one CSV (header row plus a comment line recording version, seed and
+parameters), so reruns with the same ExperimentSpec are byte-identical.
+The figure 3 and 4 rows come from :func:`survival_rows` and
+:func:`su_row`, which the ``prob`` and ``analyze`` commands print too.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import csv
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
@@ -151,21 +152,12 @@ def run_table3_dynamic(spec: ExperimentSpec) -> list[tuple]:
     draw) plus an LC-inflated sensitivity column, and the per-cell sample
     standard deviation.
     """
-    trials = 1000 if spec.trials is None else spec.trials
-    cells = [(spec.seed, band_idx, rc, trials)
+    cells = [(spec.seed, band_idx, rc, spec.trials)
              for rc in (3, 4, 5) for band_idx in range(len(BANDS))]
     if spec.jobs > 1:
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            rows = list(pool.map(_table3_cell, cells))
-    else:
-        rows = [_table3_cell(cell) for cell in cells]
-    write_rows(
-        Path(spec.out_dir) / "table3_dynamic.csv",
-        ["band", "rc", "mean_max_alpha", "std_max_alpha", "mean_max_alpha_lc_inflated"],
-        rows,
-        f"mcsched {__version__} name=table3_dynamic seed={spec.seed} trials={trials}",
-    )
-    return rows
+            return list(pool.map(_table3_cell, cells))
+    return [_table3_cell(cell) for cell in cells]
 
 
 def figure2_grid() -> tuple[list[Fraction], list[float]]:
@@ -182,12 +174,6 @@ def run_figure2(spec: ExperimentSpec) -> list[tuple]:
         ts = taskset_with_utilizations(u_l, _FIGURE2_U_SUM - u_l)
         for w in w_grid:
             rows.append((float(u_l), w, optimal_beta_for_su(ts, w)))
-    write_rows(
-        Path(spec.out_dir) / "figure2.csv",
-        ["U_L", "w", "beta_opt"],
-        rows,
-        f"mcsched {__version__} name=figure2 seed={spec.seed} u_sum={_FIGURE2_U_SUM}",
-    )
     return rows
 
 
@@ -212,15 +198,8 @@ def survival_rows(dist: ExecDistribution, ns: Sequence[int], betas: Sequence[Fra
 def run_figure3(spec: ExperimentSpec) -> list[tuple]:
     """Busy-interval survival probabilities, static budgets vs dynamic pool."""
     betas = [Fraction(45, 100), Fraction(55, 100), Fraction(65, 100), Fraction(75, 100)]
-    rows = survival_rows(BUILTIN_DISTRIBUTIONS["table4"], range(1, 9), betas, None,
+    return survival_rows(BUILTIN_DISTRIBUTIONS["table4"], range(1, 9), betas, None,
                          ("s", "d"))
-    write_rows(
-        Path(spec.out_dir) / "figure3.csv",
-        ["n", "beta", "model", "p"],
-        rows,
-        f"mcsched {__version__} name=figure3 seed={spec.seed}",
-    )
-    return rows
 
 
 def su_row(ts: TaskSet, w: float) -> tuple[float, float, float, float]:
@@ -241,12 +220,6 @@ def run_figure4(spec: ExperimentSpec) -> list[tuple]:
         ts = taskset_with_utilizations(u_l, _FIGURE4_U_SUM - u_l)
         for w in W_GRID:
             rows.append((float(u_l), w, *su_row(ts, w)[1:]))
-    write_rows(
-        Path(spec.out_dir) / "figure4.csv",
-        ["U_L", "w", "su_dynamic", "su_static", "ratio"],
-        rows,
-        f"mcsched {__version__} name=figure4 seed={spec.seed} u_sum={_FIGURE4_U_SUM}",
-    )
     return rows
 
 
@@ -367,9 +340,8 @@ def random_budget_vectors(ts: TaskSet, beta_star: Fraction, rng, count: int,
 def run_lemma2_fuzz(spec: ExperimentSpec, *, vectors_per_sequence: int = 20
                     ) -> list[tuple]:
     """Fixed feasible budgets must never outlast the dynamic allocation."""
-    trials = 200 if spec.trials is None else spec.trials
     rows = []
-    for trial in range(trials):
+    for trial in range(spec.trials):
         sc = random_feasible_scenario(
             np.random.SeedSequence((spec.seed, 2, trial)), switchy=True)
         rng = np.random.SeedSequence((spec.seed, 3, trial))
@@ -387,9 +359,8 @@ def run_lemma2_fuzz(spec: ExperimentSpec, *, vectors_per_sequence: int = 20
 
 def run_mapping_fuzz(spec: ExperimentSpec) -> list[tuple]:
     """The static reduction must replay the dynamic schedule."""
-    trials = 100 if spec.trials is None else spec.trials
     rows = []
-    for trial in range(trials):
+    for trial in range(spec.trials):
         sc, t_star = switch_inducing_scenario(spec.seed, trial, fine_demands=True)
         ok = check_mapping_equivalence(sc.ts, None, sc.x, sc.jobs, beta_star=sc.beta_star)
         rows.append((trial, t_star, int(ok)))
@@ -398,9 +369,8 @@ def run_mapping_fuzz(spec: ExperimentSpec) -> list[tuple]:
 
 def run_e2e_verify(spec: ExperimentSpec) -> list[tuple]:
     """Admissible systems must produce clean traces and clean accounting."""
-    trials = 500 if spec.trials is None else spec.trials
     rows = []
-    for trial in range(trials):
+    for trial in range(spec.trials):
         sc = random_feasible_scenario(np.random.SeedSequence((spec.seed, 4, trial)))
         trace = simulate(sc.ts, sc.config(), sc.jobs)
         ok, violations = verify_mc_schedulable(sc.ts, sc.config(), trace)
@@ -410,47 +380,38 @@ def run_e2e_verify(spec: ExperimentSpec) -> list[tuple]:
     return rows
 
 
-PROPERTY_SUITES: dict[str, Callable[[ExperimentSpec], list[tuple]]] = {
-    "lemma2_fuzz": run_lemma2_fuzz,
-    "mapping_fuzz": run_mapping_fuzz,
-    "e2e_verify": run_e2e_verify,
-}
+_SUITE_HEADER = ("trial", "t_star", "ok")
 
-
-def run_property_suites(spec: ExperimentSpec) -> int:
-    """Run the randomized suite ``spec.name``; returns its violation count."""
-    rows = PROPERTY_SUITES[spec.name](spec)
-    write_rows(
-        Path(spec.out_dir) / f"{spec.name}.csv",
-        ["trial", "t_star", "ok"],
-        rows,
-        f"mcsched {__version__} name={spec.name} seed={spec.seed} trials={len(rows)}",
-    )
-    return sum(1 for row in rows if not row[-1])
-
-
-def _checks_nothing(run: Callable[[ExperimentSpec], list[tuple]]
-                    ) -> Callable[[ExperimentSpec], int]:
-    """Adapt a table or figure driver, which writes rows and finds no violations."""
-    def runner(spec: ExperimentSpec) -> int:
-        run(spec)
-        return 0
-    return runner
-
-
-EXPERIMENT_RUNNERS: dict[str, Callable[[ExperimentSpec], int]] = {
-    "table3_dynamic": _checks_nothing(run_table3_dynamic),
-    "figure2": _checks_nothing(run_figure2),
-    "figure3": _checks_nothing(run_figure3),
-    "figure4": _checks_nothing(run_figure4),
-    **{name: run_property_suites for name in PROPERTY_SUITES},
+# name -> (rows function, CSV header, default trials or None for a figure,
+#          comment suffix)
+EXPERIMENT_RUNNERS: dict[str, tuple[Callable[[ExperimentSpec], list[tuple]],
+                                    tuple[str, ...], int | None, str]] = {
+    "table3_dynamic": (run_table3_dynamic, ("band", "rc", "mean_max_alpha", "std_max_alpha",
+                                            "mean_max_alpha_lc_inflated"), 1000, ""),
+    "figure2": (run_figure2, ("U_L", "w", "beta_opt"), None, f" u_sum={_FIGURE2_U_SUM}"),
+    "figure3": (run_figure3, ("n", "beta", "model", "p"), None, ""),
+    "figure4": (run_figure4, ("U_L", "w", "su_dynamic", "su_static", "ratio"), None,
+                f" u_sum={_FIGURE4_U_SUM}"),
+    "lemma2_fuzz": (run_lemma2_fuzz, _SUITE_HEADER, 200, ""),
+    "mapping_fuzz": (run_mapping_fuzz, _SUITE_HEADER, 100, ""),
+    "e2e_verify": (run_e2e_verify, _SUITE_HEADER, 500, ""),
 }
 EXPERIMENTS = tuple(EXPERIMENT_RUNNERS)
 
 
 def run_experiment(spec: ExperimentSpec) -> int:
-    """Dispatch an experiment by name; returns the violation count."""
-    runner = EXPERIMENT_RUNNERS.get(spec.name)
-    if runner is None:
+    """Run an experiment by name and write its CSV.
+
+    Returns the violation count: the suite rows whose ``ok`` is 0, and 0
+    for the tables and figures.
+    """
+    if spec.name not in EXPERIMENT_RUNNERS:
         raise ValueError(f"unknown experiment {spec.name!r}; choose from {EXPERIMENTS}")
-    return runner(spec)
+    run, header, trials, suffix = EXPERIMENT_RUNNERS[spec.name]
+    if trials is not None:
+        spec = replace(spec, trials=trials if spec.trials is None else spec.trials)
+        suffix = f" trials={spec.trials}"
+    rows = run(spec)
+    write_rows(Path(spec.out_dir) / f"{spec.name}.csv", header, rows,
+               f"mcsched {__version__} name={spec.name} seed={spec.seed}{suffix}")
+    return sum(1 for row in rows if not row[-1]) if header is _SUITE_HEADER else 0

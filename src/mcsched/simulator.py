@@ -3,21 +3,22 @@
 Every policy runs in one preemptive uniprocessor event loop and states two
 rules, nothing else:
 
-* ``hc_budgets(ts)``: ``None`` grants each HC job its nominal budget at
-  dispatch from a shared pool (:mod:`mcsched.meba`); otherwise it is a
-  fixed per-job ``{task id: budget}`` dict, and a missing id gets 0.
+* ``hc_budgets(ts)``: ``None`` takes HC budgets from a shared pool
+  (:mod:`mcsched.meba`), otherwise a fixed ``{task id: budget}`` dict.
 * ``lc_cap(task)``: the execution an LC job keeps once the system degrades.
 
 In the nominal mode a task runs against the virtual deadline ``r + x * T``
 unless its LC cap is 0, and an LC job falls back to its original deadline
-once it has executed its cap.  An HC job that exhausts its budget degrades
-the system until the processor idles: pending jobs fall back to their
-original deadlines and LC jobs are cut to their caps, so a zero cap drops
-them and refuses their releases.  ``EdfUvdMeba`` (pool budgets, caps
-``alpha_i * C_i``) is the design under study; ``FixedBudget`` swaps the
-pool for a constant vector to isolate the allocation policy's effect on the
-degradation instant; ``EdfVdStatic`` is the EDF-VD baseline (Baruah et al.,
-ECRTS 2012) with ``lc_estimate`` budgets and zero caps.
+once it has executed its cap.  Each nominal-mode dispatch grants an HC job
+its budget (a missing id gets 0); a job that exhausts it, at once if the
+grant is no more than it has run, degrades the system until the processor
+idles: pending jobs fall back to their original deadlines and LC jobs are
+cut to their caps, so a zero cap drops them and refuses their releases.
+``EdfUvdMeba`` (pool budgets, caps ``alpha_i * C_i``) is the design under
+study; ``FixedBudget`` swaps the pool for a constant vector to isolate the
+allocation policy's effect on the degradation instant; ``EdfVdStatic`` is
+the EDF-VD baseline (Baruah et al., ECRTS 2012) with ``lc_estimate``
+budgets and zero caps.
 
 Ties between equal effective deadlines are broken by (task id, job sequence
 number).  A processor idle instant ends the busy interval and returns the
@@ -309,7 +310,6 @@ def simulate(ts: TaskSet, cfg: SimConfig, jobs: Sequence[Job], *,
     busy = False
     i = 0
     now = ordered[0].release if ordered else Fraction(0)
-    stop = False
 
     def emit(kind, t, run: _Run | None = None, detail: str = "", snapshot=None):
         events.append(TraceEvent(
@@ -333,11 +333,8 @@ def simulate(ts: TaskSet, cfg: SimConfig, jobs: Sequence[Job], *,
                 run.eff = job.release + x * task.period
             else:
                 run.demoted = True
-        else:
-            if mode is Mode.LC:
-                run.eff = job.release + x * task.period
-            if meba is None:
-                run.budget = budgets.get(task.id, Fraction(0))
+        elif mode is Mode.LC:
+            run.eff = job.release + x * task.period
         ready.append(run)
 
     def degrade(t: Time, trigger: _Run):
@@ -349,8 +346,8 @@ def simulate(ts: TaskSet, cfg: SimConfig, jobs: Sequence[Job], *,
         for run in list(ready):
             run.eff = run.deadline
             if run.task.is_hc:
-                run.budget = None
-            elif run.consumed >= run.cap:
+                continue
+            if run.consumed >= run.cap:
                 emit(EventKind.DROP, t, run, detail=f"served={run.consumed}")
                 ready.remove(run)
             else:
@@ -360,6 +357,8 @@ def simulate(ts: TaskSet, cfg: SimConfig, jobs: Sequence[Job], *,
         while i < len(ordered) and ordered[i].release == now:
             admit(ordered[i])
             i += 1
+        if stop_after_switch and mode is Mode.HC:
+            break
         nxt = min(ready, key=_prio) if ready else None
         if nxt is None:
             if busy:
@@ -368,12 +367,10 @@ def simulate(ts: TaskSet, cfg: SimConfig, jobs: Sequence[Job], *,
                 if meba is not None:
                     meba.on_idle()
                 mode = Mode.LC
-            if i >= len(ordered) or stop:
+            if i >= len(ordered):
                 break
             now = ordered[i].release
             continue
-        if stop:
-            break
         busy = True
         if nxt is not running:
             if running is not None:
@@ -383,19 +380,15 @@ def simulate(ts: TaskSet, cfg: SimConfig, jobs: Sequence[Job], *,
             running = nxt
             emit(EventKind.DISPATCH, now, running)
             if mode is Mode.LC and running.task.is_hc:
-                if meba is not None:
-                    running.budget = meba.on_dispatch(running.task.id)
-                if running.budget is not None and running.budget <= running.consumed:
-                    # Nothing left to grant an incomplete job: degrade now.
-                    degrade(now, running)
-                    if stop_after_switch:
-                        stop = True
-                    continue
+                grant = (budgets.get(running.task.id, Fraction(0)) if meba is None
+                         else meba.on_dispatch(running.task.id))
+                # A grant at or below the consumption degrades at ``now`` below.
+                running.budget = max(grant, running.consumed)
 
         rem = running.limit - running.consumed
         t_next = now + rem
         action = "finish"
-        if mode is Mode.LC and running.task.is_hc and running.budget is not None:
+        if mode is Mode.LC and running.task.is_hc:
             t_budget = now + (running.budget - running.consumed)
             if t_budget < t_next:
                 t_next, action = t_budget, "degrade"
@@ -420,8 +413,6 @@ def simulate(ts: TaskSet, cfg: SimConfig, jobs: Sequence[Job], *,
             running = None
         elif action == "degrade":
             degrade(now, running)
-            if stop_after_switch:
-                stop = True
         elif action == "demote":
             running.demoted = True
             running.eff = running.deadline

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -6,6 +7,7 @@ import pytest
 
 from mcsched import (
     BUILTIN_DISTRIBUTIONS,
+    EXPERIMENTS,
     Criticality,
     ExperimentSpec,
     McTask,
@@ -43,11 +45,12 @@ def spec_for(tmp_path, name, **kw):
 # ---- canned studies ----
 
 def test_figure2_grid_and_determinism(tmp_path):
-    rows = run_figure2(spec_for(tmp_path / "a", "figure2"))
+    rows = run_figure2(spec_for(tmp_path, "figure2"))
     assert len(rows) == 300  # 6 LC utilizations x 50 weights
     assert all(0.0 <= b <= 1.0 for _, _, b in rows)
     assert {r[0] for r in rows} == {0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
-    run_figure2(spec_for(tmp_path / "b", "figure2"))
+    for sub in ("a", "b"):
+        assert run_experiment(spec_for(tmp_path / sub, "figure2")) == 0
     assert ((tmp_path / "a" / "figure2.csv").read_bytes()
             == (tmp_path / "b" / "figure2.csv").read_bytes())
 
@@ -73,13 +76,34 @@ def test_figure4_dynamic_never_loses(tmp_path):
 
 
 def test_table3_small_run_is_deterministic(tmp_path):
-    rows = run_table3_dynamic(spec_for(tmp_path / "a", "table3_dynamic", trials=2))
+    rows = run_table3_dynamic(spec_for(tmp_path, "table3_dynamic", trials=2))
     assert len(rows) == 15  # 5 bands x 3 inflation bounds
     assert [r[1] for r in rows] == [3] * 5 + [4] * 5 + [5] * 5
     assert all(0.0 <= r[2] <= 1.0 for r in rows)
-    run_table3_dynamic(spec_for(tmp_path / "b", "table3_dynamic", trials=2))
+    for sub in ("a", "b"):
+        assert run_experiment(spec_for(tmp_path / sub, "table3_dynamic", trials=2)) == 0
     assert ((tmp_path / "a" / "table3_dynamic.csv").read_bytes()
             == (tmp_path / "b" / "table3_dynamic.csv").read_bytes())
+
+
+def test_table3_worker_processes_write_the_same_bytes(tmp_path):
+    for sub, jobs in (("serial", 1), ("pool", 2)):
+        run_experiment(spec_for(tmp_path / sub, "table3_dynamic", trials=2, jobs=jobs))
+    assert ((tmp_path / "serial" / "table3_dynamic.csv").read_bytes()
+            == (tmp_path / "pool" / "table3_dynamic.csv").read_bytes())
+
+
+# SHA-256 over ``name + "\n" + CSV bytes`` of every experiment, in EXPERIMENTS
+# order, at seed 5 and 4 trials.
+EXPERIMENT_CSVS_DIGEST = "8d1d63de5d444efe4555dbd29f62847fa57c990480bbdddeb634e16b49935062"
+
+
+def test_every_experiment_csv_is_pinned(tmp_path):
+    digest = hashlib.sha256()
+    for name in EXPERIMENTS:
+        run_experiment(spec_for(tmp_path, name, seed=5, trials=4))
+        digest.update(name.encode() + b"\n" + (tmp_path / f"{name}.csv").read_bytes())
+    assert digest.hexdigest() == EXPERIMENT_CSVS_DIGEST
 
 
 def test_max_alpha_for_generated_style_sets():
@@ -359,7 +383,8 @@ def test_cli_malformed_taskset_exit_code(tmp_path, capsys):
     (["prob", "--dist", "{dir}/latin1.txt"],
      "prob: {dir}/latin1.txt: not UTF-8 text"),
     (["prob", "--dist", "{dir}/subdir"], "Is a directory: '{dir}/subdir'"),
-    (["analyze", "--taskset", "{dir}/latin1.txt"], "error: not UTF-8 text"),
+    (["analyze", "--taskset", "{dir}/latin1.txt"],
+     "error: analyze: {dir}/latin1.txt: not UTF-8 text"),
     (["analyze", "--taskset", "{dir}/subdir"], "Is a directory: '{dir}/subdir'"),
     (["simulate", "--taskset", "{set}", "--policy", "vd", "--x", "1/2",
       "--jobs-csv", "{dir}/latin1.txt"],
@@ -371,6 +396,12 @@ def test_cli_malformed_taskset_exit_code(tmp_path, capsys):
     (["prob", "--n", "1", "--out", "{dir}/word.txt"], "File exists: '{dir}/word.txt'"),
     (["experiment", "figure2", "--out", "{dir}/word.txt"],
      "File exists: '{dir}/word.txt'"),
+    (["simulate", "--taskset", "{dir}/latin1.txt", "--policy", "vd", "--x", "1/2"],
+     "error: simulate: {dir}/latin1.txt: not UTF-8 text"),
+    (["analyze", "--taskset", "{dir}/short_line.txt"],
+     "error: analyze: {dir}/short_line.txt: line 2: expected 4-6 fields, got 3"),
+    (["simulate", "--taskset", "{set}", "--policy", "vd", "--x", "1/2",
+      "--horizon", "1e9"], "--horizon 1000000000 would release 300000000 jobs"),
 ])
 def test_cli_usage_errors_exit_2(tmp_path, capsys, half_four_fifths_set,
                                  argv, message):
@@ -382,6 +413,7 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, half_four_fifths_set,
     for name, text in (("short_cdf", "1/2 1/2\n1 9/10\n"), ("word", "1 1\nabc\n"),
                        ("ragged", "1/2 x\n"), ("cdf_above_one", "1 2\n")):
         (tmp_path / f"{name}.txt").write_text(text)
+    (tmp_path / "short_line.txt").write_text("taskset v1\n1 10 5\n")
     (tmp_path / "latin1.txt").write_bytes("taskset v1\n# \u00e9t\u00e9\n".encode("latin-1"))
     (tmp_path / "subdir").mkdir()
     argv = [arg.format(set=path, dir=tmp_path) for arg in argv]
