@@ -9,19 +9,20 @@ demand is an exact rational.
 Reproducibility contract: the same ``GenParams`` (including seed) always
 produce the same task set, and each restart attempt uses its own child
 stream, so the draws of earlier attempts never leak into later ones.
-``gen_taskset`` owns those attempt streams and discards them after the
-attempt, so it reads their raw 64-bit PCG64 words in batches and decodes
-them word by word exactly as ``numpy.random.Generator`` does: a set drawn
-by ``gen_taskset`` is the one ``Generator`` calls on the same stream would
-give.  ``tests/test_generator.py::test_draws_decode_like_generator`` pins
-the decoder to the installed numpy.
+``gen_taskset`` seeds each attempt's PCG64 from words hashed exactly as
+``numpy.random.SeedSequence`` would hash them, and, since it discards the
+stream after the attempt, reads its raw 64-bit words in batches and decodes
+them exactly as ``numpy.random.Generator`` does: a set drawn by
+``gen_taskset`` is the one ``Generator`` calls on the ``SeedSequence``
+stream would give.  ``tests/test_generator.py`` pins the seeding and the
+decoder to the installed numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import permutations
 from typing import Union
 
 import numpy as np
@@ -102,81 +103,93 @@ RngLike = Union[int, np.random.SeedSequence, np.random.Generator]
 _WORDS_PER_BATCH = 32
 _U32 = 0xFFFFFFFF
 _U64 = 0xFFFFFFFFFFFFFFFF
+# numpy SeedSequence's pool size and hash constants
+_POOL = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
-class _Draws:
-    """``Generator.random`` and ``Generator.integers`` on a private PCG64.
+def _uint32_words(value) -> list[int]:
+    """An int, or a nested sequence of ints, as SeedSequence's uint32 words."""
+    if isinstance(value, (int, np.integer)):
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        n = int(value)
+        return [n >> s & _U32 for s in range(0, max(n.bit_length(), 1), 32)]
+    if isinstance(value, (float, np.inexact, str)):
+        raise TypeError(f"seed must be integer, got {value!r}")
+    return [w for v in value for w in _uint32_words(v)]
 
-    Raw words are read ahead in batches, so the bit generator is left past
-    the draws made; only a stream that is discarded afterwards may be
-    wrapped.  Decoding follows numpy's ``Generator``: a double is the top 53
-    bits of a word; a bounded integer is Lemire's multiply-and-reject draw,
-    on 32-bit halves (low half first, the high half kept for the next
-    32-bit draw, as PCG64's ``next_uint32``) when the range fits in 32
-    bits, and on whole words otherwise.
+
+def _mix_entropy(words: list[int], pool: list[int] | None = None,
+                 h: int = _INIT_A) -> tuple[list[int], int]:
+    """SeedSequence's pool and hash constant after ``words``, or after
+    ``words`` continue a prefix of ``_POOL`` or more words that left them."""
+
+    def hashmix(v: int) -> int:
+        nonlocal h
+        v, h = v ^ h, h * _MULT_A & _U32
+        v = v * h & _U32
+        return v ^ v >> 16
+
+    def mix(dst: int, v: int) -> None:
+        r = (_MIX_L * pool[dst] - _MIX_R * v) & _U32
+        pool[dst] = r ^ r >> 16
+
+    if pool is None:
+        pool = [hashmix(w) for w in (words + [0] * _POOL)[:_POOL]]
+        for src, dst in permutations(range(_POOL), 2):
+            mix(dst, hashmix(pool[src]))
+        words = words[_POOL:]
+    else:
+        pool = pool.copy()
+    for w in words:
+        for dst in range(_POOL):
+            mix(dst, hashmix(w))
+    return pool, h
+
+
+class _PcgSeed(np.random.bit_generator.ISeedSequence):
+    """Hands PCG64 what ``generate_state(4, uint64)`` gives for ``pool``."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, pool: list[int]):
+        h, half = _INIT_B, []
+        for i in range(2 * _POOL):
+            v, h = pool[i % _POOL] ^ h, h * _MULT_B & _U32
+            v = v * h & _U32
+            half.append(v ^ v >> 16)
+        self._state = [lo | hi << 32 for lo, hi in zip(half[::2], half[1::2])]
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.array(self._state, dtype=np.uint64)
+
+
+def _attempt_streams(rng, seed: int):
+    """Restart attempt ``k``'s stream, ``PCG64(SeedSequence(entropy,
+    spawn_key=spawn_key + (k,)))`` for a seed sequence or
+    ``PCG64(SeedSequence((root, k)))`` for an int root (``None`` reads
+    ``seed``), seeded from the words ``prefix + words(k)`` hashed by
+    SeedSequence's rules; a prefix of ``_POOL`` or more words is mixed once.
     """
+    if isinstance(rng, np.random.SeedSequence):
+        # a spawn key pads the run entropy to the pool size
+        prefix = _uint32_words(rng.entropy)
+        prefix += [0] * (_POOL - len(prefix)) + _uint32_words(rng.spawn_key)
+    else:
+        prefix = _uint32_words(seed if rng is None else rng)
+    base = _mix_entropy(prefix) if len(prefix) >= _POOL else None
 
-    __slots__ = ("_bitgen", "_next", "_half")
+    def stream(attempt: int) -> np.random.PCG64:
+        own = _uint32_words(attempt)
+        pool, _ = _mix_entropy(prefix + own) if base is None else _mix_entropy(own, *base)
+        return np.random.PCG64(_PcgSeed(pool))
 
-    def __init__(self, bitgen: np.random.BitGenerator):
-        self._bitgen = bitgen
-        self._next = iter(()).__next__
-        self._half: int | None = None
-
-    def _word(self) -> int:
-        try:
-            return self._next()
-        except StopIteration:
-            batch = self._bitgen.random_raw(_WORDS_PER_BATCH).tolist()
-            self._next = iter(batch).__next__
-            return self._next()
-
-    def _uint32(self) -> int:
-        half = self._half
-        if half is not None:
-            self._half = None
-            return half
-        word = self._word()
-        self._half = word >> 32
-        return word & _U32
-
-    def random(self) -> float:
-        return (self._word() >> 11) * (1.0 / 9007199254740992.0)
-
-    def integers(self, low: int, high: int, endpoint: bool = False) -> int:
-        # numpy's special cases for spans of 2**32 - 1 and 2**64 - 1 avoid
-        # fixed-width overflow; on Python ints Lemire's draw gives the same
-        span = high - low if endpoint else high - low - 1
-        if 0 < span <= _U32:
-            size = span + 1
-            # _uint32 inlined: a generated task makes up to three such draws
-            half = self._half
-            if half is None:
-                word = self._word()
-                self._half = word >> 32
-                m = (word & _U32) * size
-            else:
-                self._half = None
-                m = half * size
-            if m & _U32 < size:
-                threshold = (_U32 + 1 - size) % size
-                while m & _U32 < threshold:
-                    m = self._uint32() * size
-            return low + (m >> 32)
-        if span > _U32:
-            size = span + 1
-            m = self._word() * size
-            if m & _U64 < size:
-                threshold = (_U64 + 1 - size) % size
-                while m & _U64 < threshold:
-                    m = self._word() * size
-            return low + (m >> 64)
-        if span < 0:
-            raise ValueError("low > high")
-        return low
+    return stream
 
 
-def _draw_ticks(params: GenParams, rng: np.random.Generator | _Draws
+def _draw_ticks(params: GenParams, rng: np.random.Generator
                 ) -> tuple[bool, int, int, int]:
     """One task's draws as ``(is_hc, C_L, C, T)`` in integer ticks."""
     res = params.resolution
@@ -191,6 +204,54 @@ def _draw_ticks(params: GenParams, rng: np.random.Generator | _Draws
     return is_hc, cl, c, t
 
 
+def _raw_words(bitgen: np.random.BitGenerator):
+    while True:
+        yield from bitgen.random_raw(_WORDS_PER_BATCH).tolist()
+
+
+def _decode_ticks(params: GenParams, bitgen: np.random.BitGenerator):
+    """``_draw_ticks`` on ``Generator(bitgen)``, task after task, from raw
+    words read ahead in batches (so ``bitgen`` must be discarded after).
+
+    As in ``Generator``, a double is a word's top 53 bits and a bounded
+    integer is Lemire's multiply-and-reject draw, on 32-bit halves (low
+    first, the high one kept for the next, as PCG64's ``next_uint32``) when
+    the span fits 32 bits and on whole words otherwise.
+    """
+    res, ph, rc, inflate = params.resolution, params.ph, params.rc, params.inflate_lc
+    cl_lo, cl_hi = params.cl_range[0] * res, params.cl_range[1] * res
+    t_hi = params.t_max * res
+    word = _raw_words(bitgen).__next__
+    half = None
+
+    def integer(low: int, high: int) -> int:
+        # on Python ints numpy's special spans 2**32 - 1 and 2**64 - 1 need
+        # no case of their own
+        nonlocal half
+        size = high - low + 1
+        if size == 1:
+            return low
+        if size > _U32 + 1:
+            m = word() * size
+            while m & _U64 < size and m & _U64 < (_U64 + 1 - size) % size:
+                m = word() * size
+            return low + (m >> 64)
+        while True:
+            if half is None:
+                w = word()
+                half, m = w >> 32, (w & _U32) * size
+            else:
+                half, m = None, half * size
+            if m & _U32 >= size or m & _U32 >= (_U32 + 1 - size) % size:
+                return low + (m >> 32)
+
+    while True:
+        is_hc = (word() >> 11) * (1.0 / 9007199254740992.0) < ph
+        cl = integer(cl_lo, cl_hi)
+        c = integer(cl, rc * cl) if is_hc or inflate else cl
+        yield is_hc, cl, c, integer(c, t_hi)
+
+
 def _task_of(params: GenParams, ticks: tuple[bool, int, int, int],
              task_id: int) -> McTask:
     is_hc, cl, c, t = ticks
@@ -200,7 +261,6 @@ def _task_of(params: GenParams, ticks: tuple[bool, int, int, int],
         period=Fraction(t, res),
         wcet=Fraction(c, res),
         criticality=Criticality.HC if is_hc else Criticality.LC,
-        alpha=Fraction(0),
         lc_estimate=Fraction(cl, res),
     )
 
@@ -224,8 +284,8 @@ def gen_taskset(params: GenParams,
     fresh child stream: a PCG64 on the seed sequence's spawn key extended
     by the attempt number, or on a ``(root, attempt)`` seed sequence for an
     int root (``None`` reads ``params.seed``).  The running sum is
-    kept as an exact integer ratio of ticks, and tasks are built only for
-    the attempt that lands.
+    kept as an exact integer ratio of ticks over the product of the
+    periods, and tasks are built only for the attempt that lands.
 
     Raises:
         GenerationTimeout: after ``max_restarts`` failed attempts.
@@ -234,26 +294,16 @@ def gen_taskset(params: GenParams,
     # 2*lo <= num/den <= 2*hi, cross-multiplied
     lo_n, lo_d = 2 * lo.numerator, lo.denominator
     hi_n, hi_d = 2 * hi.numerator, hi.denominator
+    stream = _attempt_streams(rng, params.seed)
     for attempt in range(params.max_restarts):
-        if isinstance(rng, np.random.SeedSequence):
-            bitgen = np.random.PCG64(np.random.SeedSequence(
-                entropy=rng.entropy, spawn_key=rng.spawn_key + (attempt,)))
-        else:
-            root = params.seed if rng is None else rng
-            bitgen = np.random.PCG64(np.random.SeedSequence((root, attempt)))
-        stream = _Draws(bitgen)
         drawn: list[tuple[bool, int, int, int]] = []
         # U_L + U_H + sum of optimistic HC bandwidths, as num / den
         num, den = 0, 1
-        while True:
-            ticks = _draw_ticks(params, stream)
+        for ticks in _decode_ticks(params, stream(attempt)):
             drawn.append(ticks)
             is_hc, cl, c, t = ticks
             num = num * t + (c + cl if is_hc else c) * den
             den *= t
-            g = gcd(num, den)
-            num //= g
-            den //= g
             if num * hi_d > hi_n * den:
                 break
             if num * lo_d >= lo_n * den:

@@ -212,9 +212,16 @@ def p_noswitch_dynamic(dist: ExecDistribution, u_list: Sequence, beta_star, *,
     lattice has the same states as its rational form, and the mass over
     ``W**n`` is the exact probability.
 
+    Both give the same integers, so "auto" picks by predicted work on a
+    ``k``-point grid with scaled bound ``B``.  Column ``i`` of convolution
+    holds at most ``min(k**i, B + 1)`` states, so at most ``C = sum_{i<n}
+    k * min(k**i, B + 1)`` steps; enumeration makes ``E = k**ceil(n/2) +
+    k**floor(n/2)`` sums.  Up to 8 tasks it convolves iff ``C <= E`` and
+    ``min(k**n, B + 1)``, which bounds every column, fits ``max_states``, so
+    it never raises GridOverflow there; beyond 8 it always convolves.
+
     Args:
-        method: "auto" picks enumeration for up to 8 tasks and convolution
-            beyond; "enumerate" / "convolve" force one algorithm.
+        method: "auto", or "enumerate" / "convolve" to force one.
         max_states: state cap for the convolution lattice.
 
     Raises:
@@ -237,7 +244,12 @@ def p_noswitch_dynamic(dist: ExecDistribution, u_list: Sequence, beta_star, *,
     ]
     int_bound = int(bound * scale)
     if method == "auto":
-        method = "enumerate" if len(us) <= 8 else "convolve"
+        k, n = len(dist.grid), len(us)
+        method = "convolve"
+        if n <= 8 and (sum(k * min(k**i, int_bound + 1) for i in range(n))
+                       > k ** ((n + 1) // 2) + k ** (n // 2)
+                       or min(k**n, int_bound + 1) > max_states):
+            method = "enumerate"
     if method == "enumerate":
         mass = _enumerate_mass(weights, int_bound)
     elif method == "convolve":

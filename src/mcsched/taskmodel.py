@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping
@@ -48,7 +49,7 @@ def as_fraction(value, what: str = "value") -> Fraction:
 def unit_fraction(value, what: str = "value") -> Fraction:
     """Coerce to a Fraction and require it to lie in [0, 1]."""
     frac = as_fraction(value, what)
-    if not 0 <= frac <= 1:
+    if not 0 <= frac.numerator <= frac.denominator:
         raise InvalidFraction(f"{what} must lie in [0, 1], got {frac}")
     return frac
 
@@ -83,21 +84,26 @@ class McTask:
     lc_estimate: Time | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "period", as_fraction(self.period, "period"))
-        object.__setattr__(self, "wcet", as_fraction(self.wcet, "wcet"))
+        period = as_fraction(self.period, "period")
+        wcet = as_fraction(self.wcet, "wcet")
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "wcet", wcet)
         object.__setattr__(self, "alpha", unit_fraction(self.alpha, "alpha"))
-        if self.lc_estimate is not None:
-            est = as_fraction(self.lc_estimate, "lc_estimate")
+        est = self.lc_estimate
+        if est is not None:
+            est = as_fraction(est, "lc_estimate")
             object.__setattr__(self, "lc_estimate", est)
-        if self.period <= 0:
-            raise ValueError(f"task {self.id}: period must be positive, got {self.period}")
-        if not 0 < self.wcet <= self.period:
+        # cross-multiplied: every denominator is positive
+        if period.numerator <= 0:
+            raise ValueError(f"task {self.id}: period must be positive, got {period}")
+        if not 0 < wcet.numerator * period.denominator <= period.numerator * wcet.denominator:
             raise ValueError(
-                f"task {self.id}: wcet must satisfy 0 < C <= T, got C={self.wcet} T={self.period}"
+                f"task {self.id}: wcet must satisfy 0 < C <= T, got C={wcet} T={period}"
             )
-        if self.lc_estimate is not None and not 0 <= self.lc_estimate <= self.wcet:
+        if est is not None and not (
+                0 <= est.numerator * wcet.denominator <= wcet.numerator * est.denominator):
             raise ValueError(
-                f"task {self.id}: lc_estimate must satisfy 0 <= CL <= C, got {self.lc_estimate}"
+                f"task {self.id}: lc_estimate must satisfy 0 <= CL <= C, got {est}"
             )
 
     @property
@@ -152,6 +158,12 @@ class TaskSet:
                 return t
         raise KeyError(f"no task with id {task_id}")
 
+    @cached_property
+    def _utilizations(self) -> tuple[Fraction, Fraction]:
+        # a set never changes, so each of its class sums is computed once
+        return (_ratio_sum((t.wcet, t.period) for t in self.tasks if t.is_lc),
+                _ratio_sum((t.wcet, t.period) for t in self.tasks if t.is_hc))
+
     @property
     def lc_tasks(self) -> tuple[McTask, ...]:
         return tuple(t for t in self.tasks if t.is_lc)
@@ -188,9 +200,7 @@ def _ratio_sum(terms: Iterable[tuple[Fraction, Fraction]]) -> Fraction:
 
 def utilizations(ts: TaskSet) -> tuple[Fraction, Fraction]:
     """Return (U_L, U_H), the per-class utilization sums."""
-    u_l = _ratio_sum((t.wcet, t.period) for t in ts.tasks if t.is_lc)
-    u_h = _ratio_sum((t.wcet, t.period) for t in ts.tasks if t.is_hc)
-    return u_l, u_h
+    return ts._utilizations
 
 
 def alpha_star_from_per_task(ts: TaskSet) -> Fraction:

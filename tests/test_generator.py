@@ -21,7 +21,12 @@ from mcsched import (
     parse_demand_model,
     validate_jobs,
 )
-from mcsched.generator import _Draws, band_label
+from mcsched.generator import (
+    _attempt_streams,
+    _decode_ticks,
+    _draw_ticks,
+    band_label,
+)
 from mcsched.taskmodel import format_taskset
 
 
@@ -125,36 +130,83 @@ def test_generated_sets_match_the_golden_digest(kind):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[kind]
 
 
-# Spans (high - low) covering numpy's cases of the bounded draw: no draw,
-# 32-bit Lemire (one above 2**31 rejects about half its first draws), the
-# plain 32-bit word at 2**32 - 1, and 64-bit Lemire (near 2**62 rejects
-# about a quarter).
-SPANS = (0, 1, 6, 899, 2**31 + 1, 2**32 - 2, 2**32 - 1, 2**32, 2**33 + 7,
-         2**62 + 1, 3 * 2**61)
+def words_of(bitgen, n=40):
+    return bitgen.random_raw(n).tolist()
 
 
-@given(st.integers(0, 2**64 - 1),
-       st.lists(st.one_of(st.none(),
-                          st.tuples(st.integers(-1000, 1000),
-                                    st.one_of(st.sampled_from(SPANS),
-                                              st.integers(0, 2**40)))),
-                min_size=40, max_size=120))
-@settings(max_examples=60, derandomize=True, deadline=None)
-def test_draws_decode_like_generator(seed, calls):
-    # gen_task draws through Generator, gen_taskset through _Draws; both
-    # must give the same values from the same stream, call for call.  At
-    # least 40 calls per example, so word batches refill and rejections
-    # sometimes chain past the kept half word.
+ATTEMPTS = (*range(21), 10**5, 2**32 + 3)
+ENTROPIES = (7, (3, 1, 4, 1, 5), 0, 2**32 + 9, (np.int64(2**40), np.int64(5)),
+             None)
+
+
+@pytest.mark.parametrize("entropy", ENTROPIES)
+@pytest.mark.parametrize("spawn_key", [(), (6,), (2**33, 0)])
+def test_attempt_seeds_match_seed_sequence(entropy, spawn_key):
+    ss = np.random.SeedSequence(entropy, spawn_key=spawn_key)
+    for root in (ss, *ss.spawn(2)):
+        stream = _attempt_streams(root, seed=0)
+        for attempt in ATTEMPTS:
+            expect = np.random.PCG64(np.random.SeedSequence(
+                root.entropy, spawn_key=root.spawn_key + (attempt,)))
+            assert words_of(stream(attempt)) == words_of(expect)
+
+
+@pytest.mark.parametrize("root", [0, 2**32, 2**70, 2**100, np.int64(12), None])
+def test_attempt_seeds_match_int_roots(root):
+    stream = _attempt_streams(root, seed=77)
+    for attempt in ATTEMPTS:
+        seq = np.random.SeedSequence((77 if root is None else root, attempt))
+        assert words_of(stream(attempt)) == words_of(np.random.PCG64(seq))
+
+
+@pytest.mark.parametrize("root, error", [
+    (-1, ValueError), (1.5, TypeError),
+    (np.random.default_rng(0), TypeError)])
+def test_attempt_seeds_reject_what_numpy_rejects(root, error):
+    with pytest.raises(error):
+        np.random.SeedSequence((root, 0))
+    with pytest.raises(error):
+        gen_taskset(GenParams(band=BANDS[0]), root)
+
+
+# Parameter corners of the decoder: no word for a zero-width C_L span, rc = 1
+# (zero-width C span), the inflated variant, all-LC and all-HC sets, a
+# period span of 2**31 + 1 (32-bit Lemire rejecting about half its first
+# draws, so rejections chain past the kept half word), one of 2**32 - 1
+# (numpy's plain 32-bit word) and spans of 2**32 and above (the 64-bit
+# branch; one of 2**62 rejects about a quarter of its first draws).
+DECODE_CORNERS = [
+    GenParams(band=BANDS[0], cl_range=(3, 3)),
+    GenParams(band=BANDS[0], rc=1),
+    GenParams(band=BANDS[0], rc=4, inflate_lc=True),
+    GenParams(band=BANDS[0], ph=0.0),
+    GenParams(band=BANDS[0], ph=1.0),
+    GenParams(band=BANDS[0], ph=0.0, cl_range=(1, 1), resolution=1,
+              t_max=2**31 + 2),
+    GenParams(band=BANDS[0], ph=0.0, cl_range=(1, 1), resolution=1,
+              t_max=2**32),
+    GenParams(band=BANDS[0], ph=0.0, cl_range=(1, 1), resolution=1,
+              t_max=2**32 + 1),
+    GenParams(band=BANDS[0], resolution=10**6, t_max=10**4),
+    GenParams(band=BANDS[0], ph=0.0, cl_range=(1, 1), resolution=1,
+              t_max=2**62 + 1),
+    GenParams(band=BANDS[0], rc=5, ph=0.3, cl_range=(2, 9), resolution=10**6,
+              t_max=2**62 // 10**6),
+]
+
+
+@given(st.integers(0, 2**64 - 1))
+@settings(max_examples=30, derandomize=True, deadline=None)
+def test_draws_decode_like_generator(seed):
+    # gen_task draws through Generator, gen_taskset decodes raw words; both
+    # must give the same tasks from the same stream.  80 tasks per corner,
+    # so word batches refill.
     ss = np.random.SeedSequence(seed)
-    gen = np.random.Generator(np.random.PCG64(ss))
-    draws = _Draws(np.random.PCG64(ss))
-    for call in calls:
-        if call is None:
-            assert draws.random() == gen.random()
-        else:
-            low, span = call
-            assert (draws.integers(low, low + span, endpoint=True)
-                    == gen.integers(low, low + span, endpoint=True))
+    for params in DECODE_CORNERS:
+        gen = np.random.Generator(np.random.PCG64(ss))
+        decoded = _decode_ticks(params, np.random.PCG64(ss))
+        for _ in range(80):
+            assert next(decoded) == _draw_ticks(params, gen)
 
 
 @pytest.mark.parametrize("band", [(F(1, 8), F(1, 4)), (F(1, 4), F(3, 8))])

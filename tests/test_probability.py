@@ -15,6 +15,7 @@ from mcsched import (
     p_noswitch_static,
     parse_distribution,
 )
+from mcsched import probability
 
 TABLE4 = BUILTIN_DISTRIBUTIONS["table4"]
 
@@ -70,6 +71,29 @@ def test_enumeration_and_convolution_agree_exactly():
         a = p_noswitch_dynamic(TABLE4, us, F(11, 20), method="enumerate")
         b = p_noswitch_dynamic(TABLE4, us, F(11, 20), method="convolve")
         assert a == b
+
+
+@pytest.mark.parametrize("us, beta, picked", [
+    # ten-point grid, bound 36 on the scaled lattice: about 2,300
+    # convolution steps against 2 * 10**4 enumerated sums
+    ([F(1, 10)] * 8, F(45, 100), "convolve"),
+    # coprime denominators put the bound near 4 * 10**10, so convolution's
+    # predicted work is about 10**8 steps
+    ([F(1, p) for p in (11, 13, 17, 19, 23, 29, 31, 37)], F(1, 4), "enumerate"),
+])
+def test_auto_picks_the_method_with_less_predicted_work(monkeypatch, us, beta,
+                                                        picked):
+    forced = {m: p_noswitch_dynamic(TABLE4, us, beta, method=m)
+              for m in ("enumerate", "convolve")}
+    assert forced["enumerate"] == forced["convolve"]
+    calls = []
+    for name in ("_enumerate_mass", "_convolve_mass"):
+        real = getattr(probability, name)
+        monkeypatch.setattr(probability, name,
+                            lambda *a, _real=real, _name=name:
+                            calls.append(_name) or _real(*a))
+    assert p_noswitch_dynamic(TABLE4, us, beta) == forced[picked]
+    assert calls == [f"_{picked}_mass"]
 
 
 def test_convolution_state_cap():

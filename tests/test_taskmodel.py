@@ -44,6 +44,50 @@ def test_task_validation():
         McTask(1, F(5), F(2), Criticality.LC, alpha=F(3, 2))  # alpha in [0,1]
 
 
+LC, HC = Criticality.LC, Criticality.HC
+
+
+@pytest.mark.parametrize("args, kwargs, error, message", [
+    ((1, F(0), F(1), LC), {}, ValueError,
+     "task 1: period must be positive, got 0"),
+    ((2, F(-5, 2), F(1), LC), {}, ValueError,
+     "task 2: period must be positive, got -5/2"),
+    ((3, F(5), F(0), LC), {}, ValueError,
+     "task 3: wcet must satisfy 0 < C <= T, got C=0 T=5"),
+    ((4, F(9, 4), F(7, 3), LC), {}, ValueError,
+     "task 4: wcet must satisfy 0 < C <= T, got C=7/3 T=9/4"),
+    ((5, F(5), F(2), HC), {"lc_estimate": F(-1, 3)}, ValueError,
+     "task 5: lc_estimate must satisfy 0 <= CL <= C, got -1/3"),
+    ((6, F(5), F(2), HC), {"lc_estimate": F(201, 100)}, ValueError,
+     "task 6: lc_estimate must satisfy 0 <= CL <= C, got 201/100"),
+    ((7, F(5), F(2), LC), {"alpha": F(-1, 10)}, InvalidFraction,
+     "alpha must lie in [0, 1], got -1/10"),
+    ((8, F(5), F(2), LC), {"alpha": F(11, 10)}, InvalidFraction,
+     "alpha must lie in [0, 1], got 11/10"),
+    ((9, 5.0, F(2), LC), {}, TypeError,
+     "period must be exact (int, Fraction or string), got 5.0"),
+    ((10, F(5), F(2), HC), {"lc_estimate": 0.5}, TypeError,
+     "lc_estimate must be exact (int, Fraction or string), got 0.5"),
+    # two faults: every field is coerced before any range check, and the
+    # range checks run period, wcet, lc_estimate
+    ((11, F(0), F(2), LC), {"alpha": F(11, 10)}, InvalidFraction,
+     "alpha must lie in [0, 1], got 11/10"),
+    ((12, F(5), F(6), HC), {"lc_estimate": F(7)}, ValueError,
+     "task 12: wcet must satisfy 0 < C <= T, got C=6 T=5"),
+    # the edges of each range are accepted
+    ((13, F(7, 3), F(7, 3), HC), {"lc_estimate": F(7, 3)}, None, None),
+    ((14, F(5), F(1, 9), LC), {"alpha": F(1), "lc_estimate": F(0)}, None, None),
+])
+def test_task_error_messages(args, kwargs, error, message):
+    if error is None:
+        McTask(*args, **kwargs)
+        return
+    with pytest.raises(error) as info:
+        McTask(*args, **kwargs)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 def test_zero_lc_estimate_allowed():
     t = McTask(1, F(5), F(2), Criticality.HC, lc_estimate=F(0))
     assert t.lc_estimate == 0
