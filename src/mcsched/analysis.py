@@ -67,7 +67,9 @@ def threshold_m(ts: TaskSet) -> Fraction | None:
     u_l, u_h = utilizations(ts)
     if u_l == 0 or u_h == 0:
         return None
-    return (u_h + u_l - 1) / (u_l * u_h)
+    # with U_L = a/b and U_H = c/d, M = (cb + ad - bd) / (ac), one Fraction
+    a, b, c, d = u_l.numerator, u_l.denominator, u_h.numerator, u_h.denominator
+    return Fraction(c * b + a * d - b * d, a * c)
 
 
 def theorem1_test(ts: TaskSet, alpha_star, beta_star) -> SchedVerdict:

@@ -11,7 +11,6 @@ usage errors and malformed or missing input files.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from fractions import Fraction
@@ -35,6 +34,7 @@ from .experiments import (
 from .generator import (
     BANDS,
     GenParams,
+    _release_ticks,
     band_label,
     gen_job_sequence,
     gen_taskset,
@@ -187,7 +187,7 @@ def _cmd_simulate(args) -> int:
     else:
         if args.horizon is None:
             raise InputError("simulate: generating jobs needs --horizon")
-        count = sum(math.ceil(args.horizon / t.period) for t in ts.tasks)
+        count = sum(n for _, n in _release_ticks(ts, args.horizon)[1])
         if count > _MAX_GENERATED_JOBS:
             raise InputError(f"simulate: --horizon {args.horizon} would release {count} "
                              f"jobs, more than {_MAX_GENERATED_JOBS}")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -155,6 +154,8 @@ def run_table3_dynamic(spec: ExperimentSpec) -> list[tuple]:
     cells = [(spec.seed, band_idx, rc, spec.trials)
              for rc in (3, 4, 5) for band_idx in range(len(BANDS))]
     if spec.jobs > 1:
+        # imported here: it pulls in multiprocessing for every import of mcsched
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
             return list(pool.map(_table3_cell, cells))
     return [_table3_cell(cell) for cell in cells]
@@ -240,7 +241,11 @@ class Scenario:
 
 def random_feasible_scenario(seed_material, *, switchy: bool = False,
                              fine_demands: bool = False) -> Scenario:
-    """Draw a schedulable system and a sporadic job sequence for it.
+    """Draw a schedulable system and a job sequence for it.
+
+    The jobs come from :func:`~mcsched.generator.gen_job_sequence`: every
+    task releases synchronously at 0 and strictly periodically after, over
+    two or three times the longest period (no sporadic separation).
 
     Utilization targets stay at or below 0.9 per class so the service-level
     trade-off always admits a pair; levels and the deadline factor are drawn
@@ -257,8 +262,8 @@ def random_feasible_scenario(seed_material, *, switchy: bool = False,
 
     def split(total: Fraction, n: int) -> list[Fraction]:
         weights = [int(rng.integers(1, 9, endpoint=True)) for _ in range(n)]
-        s = sum(weights)
-        return [total * w / s for w in weights]
+        num, den = total.numerator, total.denominator * sum(weights)
+        return [Fraction(num * w, den) for w in weights]
 
     tasks = []
     tid = 1

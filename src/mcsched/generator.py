@@ -20,9 +20,11 @@ decoder to the installed numpy.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, repeat
+from math import lcm
 from typing import Union
 
 import numpy as np
@@ -354,19 +356,6 @@ class ConstantDemand:
 DemandModel = Union[GridDemand, UniformDemand, ConstantDemand]
 
 
-def _draw_scale(model: DemandModel, rng: np.random.Generator) -> Fraction:
-    if isinstance(model, ConstantDemand):
-        return model.scale
-    if isinstance(model, UniformDemand):
-        lo, hi = int(model.lo * 1000), int(model.hi * 1000)
-        return Fraction(int(rng.integers(lo, hi, endpoint=True)), 1000)
-    u = float(rng.random())
-    for g, c in zip(model.dist.grid, model.dist.cdf):
-        if u <= float(c):
-            return g
-    return model.dist.grid[-1]
-
-
 def parse_demand_model(text: str) -> DemandModel:
     """Parse CLI syntax: ``grid``, ``uniform:LO:HI`` or ``constant:S``.
 
@@ -387,28 +376,65 @@ def parse_demand_model(text: str) -> DemandModel:
                      "uniform:LO:HI or constant:S")
 
 
+def _release_ticks(ts: TaskSet, horizon: Fraction) -> tuple[int, list[tuple[int, int]]]:
+    """Releases over ``[0, horizon)`` on one integer scale.
+
+    Returns the scale ``D``, the lcm of the horizon's and the periods'
+    denominators, and for each task in task-set order its period in ticks
+    ``T * D`` and its release count ``ceil(H / T)`` (0 when ``H <= 0``).
+    """
+    scale = lcm(horizon.denominator, *(t.period.denominator for t in ts.tasks))
+    h = horizon.numerator * (scale // horizon.denominator)
+    out = []
+    for t in ts.tasks:
+        step = t.period.numerator * (scale // t.period.denominator)
+        out.append((step, max(0, -(-h // step))))
+    return scale, out
+
+
 def gen_job_sequence(ts: TaskSet, horizon, demand_model: DemandModel,
                      rng: RngLike) -> tuple[Job, ...]:
-    """Release jobs for every task over [0, horizon).
+    """Release synchronous, strictly periodic jobs for every task over
+    ``[0, horizon)``.
 
-    Releases start at 0 and step by the period.  LC jobs demand their full
-    WCET; HC jobs demand a scaled WCET according to ``demand_model``.
-    Tasks are processed in task-set order, so one stream yields a
-    deterministic sequence.
+    Task ``i`` releases ``ceil(horizon / T_i)`` jobs, at ``0, T_i, 2 T_i,
+    ...``.  LC jobs demand their full WCET; HC jobs demand a scaled WCET
+    according to ``demand_model``.  The HC tasks draw their scales in
+    task-set order, one batch per task (``rng.random(n)`` for a grid,
+    ``rng.integers(..., size=n)`` for a uniform model, nothing for a
+    constant one), and each batch uses the stream exactly as ``n`` scalar
+    draws would, so one stream yields a deterministic sequence.  Releases
+    are computed in integer ticks on the lcm of the denominators.
     """
     horizon = as_fraction(horizon, "horizon")
     rng = np.random.default_rng(rng)
-    jobs: list[Job] = []
-    for task in ts.tasks:
-        release = Fraction(0)
-        seq = 0
-        while release < horizon:
-            if task.is_hc:
-                demand = _draw_scale(demand_model, rng) * task.wcet
-            else:
-                demand = task.wcet
-            jobs.append(Job(task.id, release, demand, seq))
-            seq += 1
-            release += task.period
-    jobs.sort(key=lambda j: (j.release, j.task, j.seq))
+    scale, releases = _release_ticks(ts, horizon)
+    # a grid scale is the first grid point whose CDF is at least u
+    cdf = ([float(c) for c in demand_model.dist.cdf]
+           if isinstance(demand_model, GridDemand) else None)
+    keyed = []
+    for task, (step, n) in zip(ts.tasks, releases):
+        wcet = task.wcet
+        if not task.is_hc:
+            demands = [wcet] * n
+        elif isinstance(demand_model, ConstantDemand):
+            demands = [demand_model.scale * wcet] * n
+        elif isinstance(demand_model, UniformDemand):
+            num, den = wcet.numerator, 1000 * wcet.denominator
+            ks = rng.integers(int(demand_model.lo * 1000), int(demand_model.hi * 1000),
+                              size=n, endpoint=True)
+            demands = [Fraction(k * num, den) for k in ks.tolist()]
+        else:
+            table = [g * wcet for g in demand_model.dist.grid]
+            table.append(table[-1])  # u above every CDF value takes grid[-1]
+            demands = [table[bisect_left(cdf, u)] for u in rng.random(n).tolist()]
+        keyed.extend(zip(range(0, n * step, step), repeat(task.id), range(n), demands))
+    # (ticks, task id, seq) is unique, so the sort never compares demands
+    keyed.sort()
+    jobs = []
+    last, release = -1, None  # jobs released together share one Fraction
+    for ticks, tid, seq, demand in keyed:
+        if ticks != last:
+            last, release = ticks, Fraction(ticks, scale)
+        jobs.append(Job(tid, release, demand, seq))
     return tuple(jobs)

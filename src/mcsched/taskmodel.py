@@ -180,7 +180,10 @@ class TaskSet:
                 out.append(t.with_alpha(alphas[t.id]))
             else:
                 out.append(t)
-        return TaskSet(tuple(out))
+        copy = TaskSet(tuple(out))
+        # alphas change neither class sum
+        copy.__dict__["_utilizations"] = self._utilizations
+        return copy
 
 
 def _ratio_sum(terms: Iterable[tuple[Fraction, Fraction]]) -> Fraction:
@@ -260,7 +263,7 @@ def distribute_hc_budget_equal(ts: TaskSet, alpha_star) -> dict[int, Fraction]:
     if not lc:
         raise NoLcTasks("cannot distribute LC service without LC tasks")
     open_tasks = {t.id: t.utilization for t in lc}
-    remaining = a_star * sum(open_tasks.values(), Fraction(0))
+    remaining = a_star * utilizations(ts)[0]
     result: dict[int, Fraction] = {}
     while open_tasks:
         share = remaining / len(open_tasks)

@@ -11,23 +11,30 @@ from mcsched import (
     BUILTIN_DISTRIBUTIONS,
     ConstantDemand,
     Criticality,
+    ExecDistribution,
     GenParams,
     GenerationTimeout,
     GridDemand,
+    McTask,
+    TaskSet,
     UniformDemand,
     gen_job_sequence,
     gen_task,
     gen_taskset,
     parse_demand_model,
+    random_feasible_scenario,
     validate_jobs,
 )
 from mcsched.generator import (
     _attempt_streams,
     _decode_ticks,
     _draw_ticks,
+    _release_ticks,
     band_label,
 )
 from mcsched.taskmodel import format_taskset
+
+import job_sequence_oracle as oracle
 
 
 def avg_utilization(ts):
@@ -257,6 +264,117 @@ def test_job_sequence_counts_on_a_common_multiple():
         assert len(mine) == expect
         assert [j.seq for j in mine] == list(range(expect))
         assert all(j.release == k * t.period for k, j in enumerate(mine))
+
+
+# a CDF with plateaus (no mass at 1/2 or 1) and values that floats round
+PLATEAU = ExecDistribution((F(1, 4), F(1, 2), F(3, 4), F(1)),
+                           (F(1, 3), F(1, 3), F(1), F(1)))
+DEMAND_MODELS = (GridDemand(), GridDemand(PLATEAU), UniformDemand(),
+                 UniformDemand(F(3, 10), F(7, 10)), UniformDemand(F(1), F(1)),
+                 ConstantDemand(F(3, 4)), ConstantDemand(F(1)))
+
+
+def same_jobs_and_stream(ts, horizon, model, seed):
+    """``gen_job_sequence`` and the oracle agree job for job, in their
+    ``str`` bytes, and in the state they leave a shared-seed stream."""
+    mine = np.random.default_rng(seed)
+    theirs = np.random.default_rng(seed)
+    jobs = gen_job_sequence(ts, horizon, model, mine)
+    expect = oracle.gen_job_sequence(ts, horizon, model, theirs)
+    assert jobs == expect
+    assert str(jobs) == str(expect)
+    assert mine.bit_generator.state == theirs.bit_generator.state
+    # a 32-bit draw would show a kept half word, a double the word position
+    assert mine.integers(0, 1000, size=3).tolist() == theirs.integers(0, 1000, size=3).tolist()
+    assert mine.random() == theirs.random()
+    return jobs
+
+
+# periods with coprime denominators; ids out of task-set order
+COPRIME = TaskSet((
+    McTask(3, F(7, 3), F(1, 2), Criticality.HC),
+    McTask(1, F(5, 2), F(1), Criticality.LC),
+    McTask(2, F(11, 7), F(3, 7), Criticality.HC),
+    McTask(5, F(4), F(9, 5), Criticality.HC),
+))
+
+
+@pytest.mark.parametrize("model", DEMAND_MODELS, ids=repr)
+@pytest.mark.parametrize("horizon", [
+    F(7 * 5 * 11 * 4),     # on every period's lattice: no release at H
+    F(7 * 5 * 11 * 4) + F(1, 13),  # off the lattice
+    F(22, 3),              # fractional, between releases
+    F(1),                  # below the shortest period: one job per task
+])
+def test_job_sequence_matches_the_oracle(model, horizon):
+    jobs = same_jobs_and_stream(COPRIME, horizon, model, 11)
+    validate_jobs(COPRIME, jobs)
+    _, releases = _release_ticks(COPRIME, horizon)
+    for t, (_, n) in zip(COPRIME.tasks, releases):
+        assert sum(j.task == t.id for j in jobs) == n
+
+
+def test_generated_and_scenario_jobs_match_the_oracle():
+    for seed in range(6):
+        ts = gen_taskset(GenParams(band=BANDS[seed % 5]), np.random.SeedSequence(seed))
+        for model in DEMAND_MODELS:
+            same_jobs_and_stream(ts, F(400), model, seed)
+            same_jobs_and_stream(ts, F(1201, 3), model, seed)
+    for i in range(30):
+        sc = random_feasible_scenario(np.random.SeedSequence((5, i)),
+                                      switchy=i % 2 == 1)
+        for model in DEMAND_MODELS:
+            same_jobs_and_stream(sc.ts, sc.horizon, model, i)
+
+
+def test_grid_demand_takes_the_first_cdf_value_a_draw_ties():
+    # u <= c picks a grid point, so a draw equal to a CDF value takes it
+    ts = TaskSet((McTask(1, F(2), F(1), Criticality.HC),))
+    for seed in range(5):
+        u = np.random.default_rng(seed).random()
+        dist = ExecDistribution((F(1, 2), F(1)), (F(u), F(1)))
+        jobs = same_jobs_and_stream(ts, F(1), GridDemand(dist), seed)
+        assert [j.demand for j in jobs] == [F(1, 2)]
+
+
+@st.composite
+def periodic_sets(draw):
+    n = draw(st.integers(1, 5))
+    ids = draw(st.permutations(range(1, n + 1)))
+    tasks = []
+    for tid in ids:
+        period = F(draw(st.integers(1, 60)), draw(st.integers(1, 12)))
+        wcet = period * F(draw(st.integers(1, 10)), 10)
+        crit = draw(st.sampled_from(Criticality))
+        tasks.append(McTask(tid, period, wcet, crit))
+    ts = TaskSet(tuple(tasks))
+    longest = max(t.period for t in ts.tasks)
+    horizon = longest * F(draw(st.integers(1, 40)), draw(st.integers(1, 10)))
+    return ts, horizon
+
+
+@given(periodic_sets(), st.sampled_from(DEMAND_MODELS), st.integers(0, 2**32))
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_job_sequence_matches_the_oracle_on_random_sets(case, model, seed):
+    ts, horizon = case
+    same_jobs_and_stream(ts, horizon, model, seed)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 33])
+def test_batched_demand_draws_use_the_stream_as_scalar_draws(n):
+    # gen_job_sequence draws each HC task's demands in one batch; numpy
+    # must consume the stream as n scalar calls would, including the kept
+    # 32-bit half word of a bounded draw
+    for first in (None, "half"):
+        batch, scalar = np.random.default_rng(3), np.random.default_rng(3)
+        if first:
+            batch.integers(0, 9), scalar.integers(0, 9)
+        ks = batch.integers(100, 1000, size=n, endpoint=True).tolist()
+        assert ks == [int(scalar.integers(100, 1000, endpoint=True)) for _ in range(n)]
+        us = batch.random(n).tolist()
+        assert us == [float(scalar.random()) for _ in range(n)]
+        assert batch.integers(1000, 1000, size=n, endpoint=True).tolist() == [1000] * n
+        assert batch.bit_generator.state == scalar.bit_generator.state
 
 
 def test_lc_jobs_demand_full_wcet_and_hc_jobs_scale():

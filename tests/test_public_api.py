@@ -6,6 +6,11 @@ changes this list, one name per line, so the change shows up as a
 one-line diff here.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import mcsched
 
 PUBLIC_NAMES = [
@@ -100,3 +105,16 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert sorted(mcsched.__all__) == PUBLIC_NAMES
+
+
+def test_import_leaves_process_pools_out():
+    # only `experiment table3_dynamic --jobs N` with N > 1 needs a process
+    # pool; importing one pulls in multiprocessing, socket and subprocess
+    src = str(Path(mcsched.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, mcsched; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -108,8 +108,13 @@ def test_taskset_unique_ids():
         TaskSet((t, t))
 
 
-def test_utilizations(half_four_fifths_set):
+def test_utilizations(half_four_fifths_set, contrast_set):
     assert utilizations(half_four_fifths_set) == (F(1, 2), F(4, 5))
+    # with_alphas hands its copy the class sums it already holds
+    for ts in (half_four_fifths_set, contrast_set):
+        copy = ts.with_alphas({t.id: F(1, 3) for t in ts.lc_tasks})
+        assert [t.alpha for t in copy.lc_tasks] == [F(1, 3)] * len(ts.lc_tasks)
+        assert utilizations(copy) == utilizations(TaskSet(copy.tasks)) == utilizations(ts)
 
 
 def test_alpha_star_is_min_over_lc(contrast_set):
