@@ -8,14 +8,11 @@ demand is an exact rational.
 
 Reproducibility contract: the same ``GenParams`` (including seed) always
 produce the same task set, and each restart attempt uses its own child
-stream, so the draws of earlier attempts never leak into later ones.
-``gen_taskset`` seeds each attempt's PCG64 from words hashed exactly as
-``numpy.random.SeedSequence`` would hash them, and, since it discards the
-stream after the attempt, reads its raw 64-bit words in batches and decodes
-them exactly as ``numpy.random.Generator`` does: a set drawn by
-``gen_taskset`` is the one ``Generator`` calls on the ``SeedSequence``
-stream would give.  ``tests/test_generator.py`` pins the seeding and the
-decoder to the installed numpy.
+stream, so the draws of earlier attempts never leak into later ones.  A set
+drawn by ``gen_taskset`` is the one ``numpy.random.Generator`` calls on the
+attempts' ``SeedSequence`` streams would give, though ``gen_taskset`` hashes
+the seeds and decodes the raw words itself, in one integer loop;
+``tests/test_generator.py`` pins both to the installed numpy.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, repeat
+from itertools import accumulate, permutations, repeat
 from math import lcm
 from typing import Union
 
@@ -83,14 +80,19 @@ class GenParams:
         if not 0 < lo < hi:
             raise ValueError(f"band must satisfy 0 < lo < hi, got {self.band}")
         object.__setattr__(self, "band", (lo, hi))
-        if self.rc < 1:
-            raise ValueError(f"rc must be at least 1, got {self.rc}")
+        if not 0 <= self.ph <= 1:  # false for NaN too
+            raise ValueError(f"ph must lie in [0, 1], got {self.ph}")
+        for name in ("rc", "t_max", "resolution", "max_restarts"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise TypeError(f"{name} must be an int, got {value!r}")
+            if value < 1 and name in ("rc", "resolution"):
+                raise ValueError(f"{name} must be at least 1, got {value}")
+        if len(self.cl_range) != 2 or any(type(v) is not int for v in self.cl_range):
+            raise TypeError(f"cl_range must be two ints, got {self.cl_range!r}")
         if not 1 <= self.cl_range[0] <= self.cl_range[1]:
             raise ValueError(
                 f"cl_range must satisfy 1 <= lo <= hi, got {self.cl_range}")
-        if self.resolution < 1:
-            raise ValueError(
-                f"resolution must be at least 1, got {self.resolution}")
         inflated = self.ph > 0 or self.inflate_lc
         max_wcet = self.cl_range[1] * (self.rc if inflated else 1)
         if self.t_max < max_wcet:
@@ -103,8 +105,14 @@ RngLike = Union[int, np.random.SeedSequence, np.random.Generator]
 
 
 _WORDS_PER_BATCH = 32
+_TASK_WORDS = 4  # the most words one task's inline draws read
+_DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2**-53
 _U32 = 0xFFFFFFFF
+_SPAN32 = 1 << 32  # the widest span a 32-bit Lemire draw covers
 _U64 = 0xFFFFFFFFFFFFFFFF
+_U128 = (1 << 128) - 1
+_ZERO = Fraction(0)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
 # numpy SeedSequence's pool size and hash constants
 _POOL = 4
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
@@ -123,10 +131,9 @@ def _uint32_words(value) -> list[int]:
     return [w for v in value for w in _uint32_words(v)]
 
 
-def _mix_entropy(words: list[int], pool: list[int] | None = None,
-                 h: int = _INIT_A) -> tuple[list[int], int]:
-    """SeedSequence's pool and hash constant after ``words``, or after
-    ``words`` continue a prefix of ``_POOL`` or more words that left them."""
+def _mix_entropy(words: list[int]) -> tuple[list[int], int]:
+    """SeedSequence's pool and hash constant after mixing ``words``."""
+    h = _INIT_A
 
     def hashmix(v: int) -> int:
         nonlocal h
@@ -138,57 +145,54 @@ def _mix_entropy(words: list[int], pool: list[int] | None = None,
         r = (_MIX_L * pool[dst] - _MIX_R * v) & _U32
         pool[dst] = r ^ r >> 16
 
-    if pool is None:
-        pool = [hashmix(w) for w in (words + [0] * _POOL)[:_POOL]]
-        for src, dst in permutations(range(_POOL), 2):
-            mix(dst, hashmix(pool[src]))
-        words = words[_POOL:]
-    else:
-        pool = pool.copy()
-    for w in words:
+    pool = [hashmix(w) for w in (words + [0] * _POOL)[:_POOL]]
+    for src, dst in permutations(range(_POOL), 2):
+        mix(dst, hashmix(pool[src]))
+    for w in words[_POOL:]:
         for dst in range(_POOL):
             mix(dst, hashmix(w))
     return pool, h
 
 
-class _PcgSeed(np.random.bit_generator.ISeedSequence):
-    """Hands PCG64 what ``generate_state(4, uint64)`` gives for ``pool``."""
-
-    __slots__ = ("_state",)
-
-    def __init__(self, pool: list[int]):
-        h, half = _INIT_B, []
-        for i in range(2 * _POOL):
-            v, h = pool[i % _POOL] ^ h, h * _MULT_B & _U32
-            v = v * h & _U32
-            half.append(v ^ v >> 16)
-        self._state = [lo | hi << 32 for lo, hi in zip(half[::2], half[1::2])]
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return np.array(self._state, dtype=np.uint64)
+def _hash_keys(h: int, mult: int, n: int) -> list[tuple[int, int]]:
+    """SeedSequence's next ``n`` hashes from hash constant ``h``, as their
+    (xor key, multiplier) pairs."""
+    hs = list(accumulate(repeat(mult, n), lambda h, m: h * m & _U32, initial=h))
+    return list(zip(hs, hs[1:]))
 
 
-def _attempt_streams(rng, seed: int):
-    """Restart attempt ``k``'s stream, ``PCG64(SeedSequence(entropy,
-    spawn_key=spawn_key + (k,)))`` for a seed sequence or
-    ``PCG64(SeedSequence((root, k)))`` for an int root (``None`` reads
-    ``seed``), seeded from the words ``prefix + words(k)`` hashed by
-    SeedSequence's rules; a prefix of ``_POOL`` or more words is mixed once.
-    """
-    if isinstance(rng, np.random.SeedSequence):
-        # a spawn key pads the run entropy to the pool size
-        prefix = _uint32_words(rng.entropy)
-        prefix += [0] * (_POOL - len(prefix)) + _uint32_words(rng.spawn_key)
-    else:
-        prefix = _uint32_words(seed if rng is None else rng)
-    base = _mix_entropy(prefix) if len(prefix) >= _POOL else None
+# generate_state(4, uint64)'s eight hashes, each of one pool word
+_STATE_KEYS = [(j % _POOL, key, mul) for j, (key, mul)
+               in enumerate(_hash_keys(_INIT_B, _MULT_B, 2 * _POOL))]
 
-    def stream(attempt: int) -> np.random.PCG64:
-        own = _uint32_words(attempt)
-        pool, _ = _mix_entropy(prefix + own) if base is None else _mix_entropy(own, *base)
-        return np.random.PCG64(_PcgSeed(pool))
 
-    return stream
+def _bounded(size: int, m: int, words: list[int], i: int, half: int,
+             bitgen: np.random.BitGenerator) -> tuple[int, int, int]:
+    """Finish, as ``Generator.integers`` would, a draw of ``size`` values
+    begun as a 32-bit Lemire draw: ``m`` is the half word taken times
+    ``size``, ``i`` and ``half`` the word position and kept half after it.
+    Spans of 1 and above 2**32 give the half back.  Returns the accepted
+    product (the draw is its bits from 32 up), ``i`` and ``half``."""
+    if size == 1 or size > _SPAN32:
+        # untake the half: the kept one (now spent), or a new word's low one
+        i, half = (i, m // size) if half < 0 else (i - 1, -1)
+        if size == 1:
+            return 0, i, half
+    while size > _SPAN32 or m & _U32 < (_SPAN32 - size) % size:
+        if len(words) - i <= _TASK_WORDS:
+            words += bitgen.random_raw(_WORDS_PER_BATCH).tolist()
+        if size > _SPAN32:
+            # numpy's span of 2**64 needs no case of its own on Python ints
+            m = words[i] * size
+            i += 1
+            if m & _U64 >= (_U64 + 1 - size) % size:
+                return m >> 64 << 32, i, half
+        elif half < 0:
+            half, m = words[i] >> 32, (words[i] & _U32) * size
+            i += 1
+        else:
+            half, m = -1, half * size
+    return m, i, half
 
 
 def _draw_ticks(params: GenParams, rng: np.random.Generator
@@ -206,63 +210,17 @@ def _draw_ticks(params: GenParams, rng: np.random.Generator
     return is_hc, cl, c, t
 
 
-def _raw_words(bitgen: np.random.BitGenerator):
-    while True:
-        yield from bitgen.random_raw(_WORDS_PER_BATCH).tolist()
-
-
-def _decode_ticks(params: GenParams, bitgen: np.random.BitGenerator):
-    """``_draw_ticks`` on ``Generator(bitgen)``, task after task, from raw
-    words read ahead in batches (so ``bitgen`` must be discarded after).
-
-    As in ``Generator``, a double is a word's top 53 bits and a bounded
-    integer is Lemire's multiply-and-reject draw, on 32-bit halves (low
-    first, the high one kept for the next, as PCG64's ``next_uint32``) when
-    the span fits 32 bits and on whole words otherwise.
-    """
-    res, ph, rc, inflate = params.resolution, params.ph, params.rc, params.inflate_lc
-    cl_lo, cl_hi = params.cl_range[0] * res, params.cl_range[1] * res
-    t_hi = params.t_max * res
-    word = _raw_words(bitgen).__next__
-    half = None
-
-    def integer(low: int, high: int) -> int:
-        # on Python ints numpy's special spans 2**32 - 1 and 2**64 - 1 need
-        # no case of their own
-        nonlocal half
-        size = high - low + 1
-        if size == 1:
-            return low
-        if size > _U32 + 1:
-            m = word() * size
-            while m & _U64 < size and m & _U64 < (_U64 + 1 - size) % size:
-                m = word() * size
-            return low + (m >> 64)
-        while True:
-            if half is None:
-                w = word()
-                half, m = w >> 32, (w & _U32) * size
-            else:
-                half, m = None, half * size
-            if m & _U32 >= size or m & _U32 >= (_U32 + 1 - size) % size:
-                return low + (m >> 32)
-
-    while True:
-        is_hc = (word() >> 11) * (1.0 / 9007199254740992.0) < ph
-        cl = integer(cl_lo, cl_hi)
-        c = integer(cl, rc * cl) if is_hc or inflate else cl
-        yield is_hc, cl, c, integer(c, t_hi)
-
-
 def _task_of(params: GenParams, ticks: tuple[bool, int, int, int],
              task_id: int) -> McTask:
+    # the draws keep 0 < C_L <= C <= T
     is_hc, cl, c, t = ticks
     res = params.resolution
-    return McTask(
+    return McTask._from_valid(
         id=task_id,
         period=Fraction(t, res),
         wcet=Fraction(c, res),
         criticality=Criticality.HC if is_hc else Criticality.LC,
+        alpha=_ZERO,
         lc_estimate=Fraction(cl, res),
     )
 
@@ -285,32 +243,110 @@ def gen_taskset(params: GenParams,
     attempt terminates; attempts that overshoot the band restart with a
     fresh child stream: a PCG64 on the seed sequence's spawn key extended
     by the attempt number, or on a ``(root, attempt)`` seed sequence for an
-    int root (``None`` reads ``params.seed``).  The running sum is
+    int root (``None`` reads ``params.seed``).  Each task makes
+    ``gen_task``'s ``Generator`` draws on that stream.  The running sum is
     kept as an exact integer ratio of ticks over the product of the
     periods, and tasks are built only for the attempt that lands.
 
     Raises:
         GenerationTimeout: after ``max_restarts`` failed attempts.
     """
-    lo, hi = params.band
+    return _grow(params, rng, range(params.max_restarts))
+
+
+def _grow(params: GenParams, rng, attempts) -> TaskSet:
+    """The set of the first of ``attempts`` that lands in the band.
+
+    One loop runs each attempt: it seeds the call's PCG64 through its
+    state, hashing the attempt number as SeedSequence would onto the prefix
+    mixed once, decodes each task's draws inline from raw words read ahead
+    in batches, as ``Generator`` does (a double is a word's top 53 bits, a
+    bounded draw Lemire's multiply-and-reject on 32-bit halves, low first
+    and the high one kept), and runs the band test.
+    """
+    if isinstance(rng, np.random.SeedSequence):
+        # a spawn key pads the run entropy to the pool size
+        prefix = _uint32_words(rng.entropy)
+        prefix += [0] * (_POOL - len(prefix)) + _uint32_words(rng.spawn_key)
+    else:
+        prefix = _uint32_words(params.seed if rng is None else rng)
+    mixers = None
+    if len(prefix) >= _POOL:  # the prefix fills the pool; attempts mix in after
+        pool, h = _mix_entropy(prefix)
+        mixers = [(_MIX_L * b, key, mul)
+                  for b, (key, mul) in zip(pool, _hash_keys(h, _MULT_A, _POOL))]
+    # one PCG64 for every attempt, each setting its whole state
+    bitgen = np.random.PCG64(0)
+    state = bitgen.state
+    pcg = state["state"]
+    res, ph, rc, inflate = params.resolution, params.ph, params.rc, params.inflate_lc
+    cl_lo, cl_size = params.cl_range[0] * res, (params.cl_range[1] - params.cl_range[0]) * res + 1
+    t_hi = params.t_max * res
     # 2*lo <= num/den <= 2*hi, cross-multiplied
-    lo_n, lo_d = 2 * lo.numerator, lo.denominator
-    hi_n, hi_d = 2 * hi.numerator, hi.denominator
-    stream = _attempt_streams(rng, params.seed)
-    for attempt in range(params.max_restarts):
-        drawn: list[tuple[bool, int, int, int]] = []
-        # U_L + U_H + sum of optimistic HC bandwidths, as num / den
-        num, den = 0, 1
-        for ticks in _decode_ticks(params, stream(attempt)):
-            drawn.append(ticks)
-            is_hc, cl, c, t = ticks
+    (lo_n, lo_d), (hi_n, hi_d) = ((2 * b.numerator, b.denominator) for b in params.band)
+    for attempt in attempts:
+        if mixers and attempt <= _U32:
+            pool = []
+            for b, key, mul in mixers:
+                v = (attempt ^ key) * mul & _U32
+                r = (b - _MIX_R * (v ^ v >> 16)) & _U32
+                pool.append(r ^ r >> 16)
+        else:  # a root of fewer than _POOL words, or a two-word attempt number
+            pool = _mix_entropy(prefix + _uint32_words(attempt))[0]
+        # generate_state(4, uint64), then PCG64's seeding on its four words
+        w = []
+        for j, key, mul in _STATE_KEYS:
+            v = (pool[j] ^ key) * mul & _U32
+            w.append(v ^ v >> 16)
+        inc = (w[4] << 65 | w[5] << 97 | w[6] << 1 | w[7] << 33 | 1) & _U128
+        seed = w[0] << 64 | w[1] << 96 | w[2] | w[3] << 32
+        pcg["state"], pcg["inc"] = (seed + inc) * _PCG_MULT + inc & _U128, inc
+        bitgen.state = state
+        words = bitgen.random_raw(_WORDS_PER_BATCH).tolist()
+        i, half = 0, -1  # half < 0: no kept 32-bit half word
+        # the tasks drawn, and U_L + U_H + sum of optimistic HC bandwidths as num / den
+        drawn, num, den = [], 0, 1
+        while True:
+            if len(words) - i < _TASK_WORDS:
+                words += bitgen.random_raw(_WORDS_PER_BATCH).tolist()
+            is_hc = (words[i] >> 11) * _DOUBLE_UNIT < ph
+            i += 1
+            # C_L on cl_size ticks from cl_lo, C on [C_L, rc * C_L], T on [C, t_hi]
+            if half < 0:
+                half, m = words[i] >> 32, (words[i] & _U32) * cl_size
+                i += 1
+            else:
+                half, m = -1, half * cl_size
+            if m & _U32 < cl_size or cl_size == 1:
+                m, i, half = _bounded(cl_size, m, words, i, half, bitgen)
+            c = cl = cl_lo + (m >> 32)
+            if is_hc or inflate:
+                size = (rc - 1) * cl + 1
+                if half < 0:
+                    half, m = words[i] >> 32, (words[i] & _U32) * size
+                    i += 1
+                else:
+                    half, m = -1, half * size
+                if m & _U32 < size or size == 1:
+                    m, i, half = _bounded(size, m, words, i, half, bitgen)
+                c += m >> 32
+            size = t_hi - c + 1
+            if half < 0:
+                half, m = words[i] >> 32, (words[i] & _U32) * size
+                i += 1
+            else:
+                half, m = -1, half * size
+            if m & _U32 < size or size == 1:
+                m, i, half = _bounded(size, m, words, i, half, bitgen)
+            t = c + (m >> 32)
+            drawn.append((is_hc, cl, c, t))
             num = num * t + (c + cl if is_hc else c) * den
             den *= t
             if num * hi_d > hi_n * den:
                 break
             if num * lo_d >= lo_n * den:
-                return TaskSet(tuple(_task_of(params, d, i)
-                                     for i, d in enumerate(drawn, start=1)))
+                return TaskSet(tuple(_task_of(params, d, n)
+                                     for n, d in enumerate(drawn, start=1)))
     raise GenerationTimeout(
         f"no task set hit band {params.band} in {params.max_restarts} attempts")
 

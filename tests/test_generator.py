@@ -1,4 +1,6 @@
+from dataclasses import replace
 from fractions import Fraction as F
+from itertools import islice
 
 import hashlib
 
@@ -25,16 +27,11 @@ from mcsched import (
     random_feasible_scenario,
     validate_jobs,
 )
-from mcsched.generator import (
-    _attempt_streams,
-    _decode_ticks,
-    _draw_ticks,
-    _release_ticks,
-    band_label,
-)
+from mcsched.generator import _grow, _release_ticks, band_label
 from mcsched.taskmodel import format_taskset
 
 import job_sequence_oracle as oracle
+import taskset_oracle
 
 
 def avg_utilization(ts):
@@ -137,8 +134,19 @@ def test_generated_sets_match_the_golden_digest(kind):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[kind]
 
 
-def words_of(bitgen, n=40):
-    return bitgen.random_raw(n).tolist()
+def grows_numpy_draws(params, rng, attempt, n=40):
+    """``_grow`` on restart attempt ``attempt`` alone draws the tasks that
+    ``Generator`` calls on that attempt's ``SeedSequence`` stream give.
+
+    The band is put where the first ``n`` of those draws land (the average
+    utilization only grows), so ``_grow`` must return exactly those tasks.
+    """
+    draws = list(islice(taskset_oracle.numpy_draws(params, rng, attempt), n))
+    u = taskset_oracle.average_utilization(draws)
+    params = replace(params, band=(u, u + 1))
+    ts = _grow(params, rng, [attempt])
+    expect = taskset_oracle.landing(params, iter(draws))
+    assert ts == expect and format_taskset(ts) == format_taskset(expect)
 
 
 ATTEMPTS = (*range(21), 10**5, 2**32 + 3)
@@ -150,20 +158,19 @@ ENTROPIES = (7, (3, 1, 4, 1, 5), 0, 2**32 + 9, (np.int64(2**40), np.int64(5)),
 @pytest.mark.parametrize("spawn_key", [(), (6,), (2**33, 0)])
 def test_attempt_seeds_match_seed_sequence(entropy, spawn_key):
     ss = np.random.SeedSequence(entropy, spawn_key=spawn_key)
+    params = GenParams(band=BANDS[0])
     for root in (ss, *ss.spawn(2)):
-        stream = _attempt_streams(root, seed=0)
         for attempt in ATTEMPTS:
-            expect = np.random.PCG64(np.random.SeedSequence(
-                root.entropy, spawn_key=root.spawn_key + (attempt,)))
-            assert words_of(stream(attempt)) == words_of(expect)
+            grows_numpy_draws(params, root, attempt)
 
 
 @pytest.mark.parametrize("root", [0, 2**32, 2**70, 2**100, np.int64(12), None])
 def test_attempt_seeds_match_int_roots(root):
-    stream = _attempt_streams(root, seed=77)
+    # up to three root words the attempt number joins the pool itself; a
+    # fourth (2**100) fills the pool, so attempts mix in after it
+    params = GenParams(band=BANDS[0], seed=77)
     for attempt in ATTEMPTS:
-        seq = np.random.SeedSequence((77 if root is None else root, attempt))
-        assert words_of(stream(attempt)) == words_of(np.random.PCG64(seq))
+        grows_numpy_draws(params, root, attempt)
 
 
 @pytest.mark.parametrize("root, error", [
@@ -205,15 +212,41 @@ DECODE_CORNERS = [
 @given(st.integers(0, 2**64 - 1))
 @settings(max_examples=30, derandomize=True, deadline=None)
 def test_draws_decode_like_generator(seed):
-    # gen_task draws through Generator, gen_taskset decodes raw words; both
-    # must give the same tasks from the same stream.  80 tasks per corner,
-    # so word batches refill.
+    # 80 tasks per corner, so word batches refill; attempts 0 and 7 start
+    # from different streams of the same root
     ss = np.random.SeedSequence(seed)
     for params in DECODE_CORNERS:
-        gen = np.random.Generator(np.random.PCG64(ss))
-        decoded = _decode_ticks(params, np.random.PCG64(ss))
-        for _ in range(80):
-            assert next(decoded) == _draw_ticks(params, gen)
+        for attempt in (0, 7):
+            grows_numpy_draws(params, ss, attempt, n=80)
+
+
+@pytest.mark.parametrize("kind", ["seedseq", "spawned", "int", "long int", "none"])
+def test_gen_taskset_matches_numpy_and_the_old_loop(kind):
+    # whole restart loops, overshoots included, against both oracles
+    for trial in range(40):
+        params = GenParams(band=BANDS[trial % 5], rc=3 + trial % 3, seed=trial,
+                           inflate_lc=trial % 2 == 1)
+        rng = {"seedseq": np.random.SeedSequence((41, trial)),
+               "spawned": np.random.SeedSequence(trial, spawn_key=(trial, 3)),
+               "int": trial, "long int": 2**96 + trial, "none": None}[kind]
+        ts = gen_taskset(params, rng)
+        assert ts == taskset_oracle.gen_taskset(params, rng)
+        assert ts == taskset_oracle.old_gen_taskset(params, rng)
+
+
+def test_later_attempts_land_as_numpy_says():
+    # a narrow band makes most attempts overshoot; _grow over any attempt
+    # range lands where the numpy oracle does, or times out with it
+    params = GenParams(band=(F(70, 100), F(7005, 10000)))
+    rng = np.random.SeedSequence(17)
+    for attempts in ([2**32 + 3, 10**5], range(5000, 5040), range(2**32 - 3, 2**32 + 3)):
+        try:
+            expect = taskset_oracle.gen_taskset(params, rng, attempts)
+        except GenerationTimeout:
+            with pytest.raises(GenerationTimeout):
+                _grow(params, rng, attempts)
+        else:
+            assert _grow(params, rng, attempts) == expect
 
 
 @pytest.mark.parametrize("band", [(F(1, 8), F(1, 4)), (F(1, 4), F(3, 8))])
@@ -250,6 +283,29 @@ def test_params_validation():
     with pytest.raises(ValueError, match="t_max"):
         GenParams(band=BANDS[0], t_max=2)
     GenParams(band=BANDS[0], cl_range=(1, 1), resolution=1)
+    GenParams(band=BANDS[0], ph=0)
+    GenParams(band=BANDS[0], ph=1)
+
+
+@pytest.mark.parametrize("field, value, error, message", [
+    # NaN and negative ph gave all-LC sets, 1.5 all-HC ones
+    ("ph", 1.5, ValueError, "ph must lie in [0, 1], got 1.5"),
+    ("ph", -1, ValueError, "ph must lie in [0, 1], got -1"),
+    ("ph", float("nan"), ValueError, "ph must lie in [0, 1], got nan"),
+    # these reached the decoder and failed there on ``&``
+    ("rc", 2.5, TypeError, "rc must be an int, got 2.5"),
+    ("t_max", 150.5, TypeError, "t_max must be an int, got 150.5"),
+    ("resolution", 100.0, TypeError, "resolution must be an int, got 100.0"),
+    ("cl_range", (1.5, 10), TypeError, "cl_range must be two ints, got (1.5, 10)"),
+    ("max_restarts", 10.0, TypeError, "max_restarts must be an int, got 10.0"),
+    ("rc", True, TypeError, "rc must be an int, got True"),
+    ("cl_range", (1, 10.0), TypeError, "cl_range must be two ints, got (1, 10.0)"),
+    ("cl_range", (1, 5, 10), TypeError, "cl_range must be two ints, got (1, 5, 10)"),
+])
+def test_params_reject_bad_values_in_one_line(field, value, error, message):
+    with pytest.raises(error) as info:
+        GenParams(band=BANDS[0], **{field: value})
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_job_sequence_counts_on_a_common_multiple():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -100,6 +101,35 @@ def test_task_properties():
     lc = McTask(2, F(10), F(5), Criticality.LC, alpha=F(1, 2))
     assert lc.degraded_service == F(5, 2)
     assert lc.with_alpha(F(1)).alpha == 1
+
+
+@pytest.mark.parametrize("alpha", [F(0), F(1, 3), F(1), 1, "2/7"])
+def test_with_alpha_equals_a_replace_built_task(alpha, contrast_set):
+    # with_alpha checks only alpha and copies the rest; the result must be
+    # the task dataclasses.replace builds through every __post_init__ check
+    for t in (*contrast_set.tasks, McTask(4, F(9, 2), F(3, 2), LC, F(1, 5), F(1))):
+        mine, theirs = t.with_alpha(alpha), replace(t, alpha=as_fraction(alpha))
+        assert mine == theirs and repr(mine) == repr(theirs)
+        assert type(mine.alpha) is F and hash(mine) == hash(theirs)
+    copy = contrast_set.with_alphas({1: F(1, 4), 2: alpha, 3: F(1, 2)})
+    assert copy == TaskSet(tuple(
+        replace(t, alpha=as_fraction(a)) if t.is_lc else t
+        for t, a in zip(contrast_set.tasks, (F(1, 4), alpha, None))))
+
+
+@pytest.mark.parametrize("alpha, error, message", [
+    (F(11, 10), InvalidFraction, "alpha must lie in [0, 1], got 11/10"),
+    (F(-1, 10), InvalidFraction, "alpha must lie in [0, 1], got -1/10"),
+    (0.5, TypeError, "alpha must be exact (int, Fraction or string), got 0.5"),
+])
+def test_with_alpha_error_messages(alpha, error, message):
+    t = McTask(2, F(10), F(5), Criticality.LC, alpha=F(1, 2))
+    with pytest.raises(error) as info:
+        t.with_alpha(alpha)
+    assert type(info.value) is error and str(info.value) == message
+    with pytest.raises(error) as info:
+        McTask(2, F(10), F(5), Criticality.LC, alpha=alpha)
+    assert str(info.value) == message
 
 
 def test_taskset_unique_ids():
