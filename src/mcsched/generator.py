@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, permutations, repeat
 from math import lcm
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -38,6 +38,13 @@ BANDS: tuple[tuple[Fraction, Fraction], ...] = tuple(
     for hi in (55, 60, 65, 70, 75)
 )
 
+_PH = 0.5  # the probability that a task is HC
+_CL_RANGE = (1, 10)  # the inclusive range of the optimistic execution C_L
+_T_MAX = 200  # the inclusive upper bound of the period draw
+_RESOLUTION = 100  # ticks per time unit
+_MAX_RESTARTS = 10**6  # gen_taskset's attempt budget
+_RC_MAX = _T_MAX // _CL_RANGE[1]  # the largest rc whose WCET draws fit a period of _T_MAX
+
 
 def band_label(band: tuple[Fraction, Fraction]) -> str:
     return f"{float(band[1]):.2f}"
@@ -47,31 +54,24 @@ def band_label(band: tuple[Fraction, Fraction]) -> str:
 class GenParams:
     """Knobs for task-set generation.
 
+    The rest of the procedure is fixed by the module constants ``_PH``,
+    ``_CL_RANGE``, ``_T_MAX``, ``_RESOLUTION`` and ``_MAX_RESTARTS``.
+
     Attributes:
         band: Target (lo, hi) range for the average utilization
             ``(U_L + U_H + sum over HC tasks of C_L / T) / 2``.  It bounds
             that average only, not U_L or U_H on its own.
-        rc: WCET inflation bound; HC full budgets draw from
-            [C_L, rc * C_L].
-        ph: Probability that a task is high-criticality.
-        cl_range: Range (inclusive) for the optimistic execution draw.
-        t_max: Upper bound (inclusive) of the period draw; at least the
-            largest WCET draw, since a period is never shorter than its WCET.
-        seed: Root seed; every restart attempt derives its own stream.
-        resolution: Ticks per time unit for all draws.
-        max_restarts: Attempt budget before GenerationTimeout.
+        rc: WCET inflation bound, an int in [1, 20]; HC full budgets draw
+            from [C_L, rc * C_L], which a period of 200 always fits.
+        seed: Root seed, a non-negative int; every restart attempt derives
+            its own stream.
         inflate_lc: Also inflate LC WCETs by rc (sensitivity variant; the
             primary design keeps LC WCET equal to its optimistic draw).
     """
 
     band: tuple[Fraction, Fraction]
     rc: int = 3
-    ph: float = 0.5
-    cl_range: tuple[int, int] = (1, 10)
-    t_max: int = 200
     seed: int = 0
-    resolution: int = 100
-    max_restarts: int = 10**6
     inflate_lc: bool = False
 
     def __post_init__(self):
@@ -80,25 +80,14 @@ class GenParams:
         if not 0 < lo < hi:
             raise ValueError(f"band must satisfy 0 < lo < hi, got {self.band}")
         object.__setattr__(self, "band", (lo, hi))
-        if not 0 <= self.ph <= 1:  # false for NaN too
-            raise ValueError(f"ph must lie in [0, 1], got {self.ph}")
-        for name in ("rc", "t_max", "resolution", "max_restarts"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise TypeError(f"{name} must be an int, got {value!r}")
-            if value < 1 and name in ("rc", "resolution"):
-                raise ValueError(f"{name} must be at least 1, got {value}")
-        if len(self.cl_range) != 2 or any(type(v) is not int for v in self.cl_range):
-            raise TypeError(f"cl_range must be two ints, got {self.cl_range!r}")
-        if not 1 <= self.cl_range[0] <= self.cl_range[1]:
-            raise ValueError(
-                f"cl_range must satisfy 1 <= lo <= hi, got {self.cl_range}")
-        inflated = self.ph > 0 or self.inflate_lc
-        max_wcet = self.cl_range[1] * (self.rc if inflated else 1)
-        if self.t_max < max_wcet:
-            raise ValueError(
-                f"t_max must be at least the largest WCET draw {max_wcet}, "
-                f"got {self.t_max}")
+        if type(self.rc) is not int:
+            raise TypeError(f"rc must be an int, got {self.rc!r}")
+        if not 1 <= self.rc <= _RC_MAX:
+            raise ValueError(f"rc must lie in [1, {_RC_MAX}], got {self.rc}")
+        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
+            raise TypeError(f"seed must be a non-negative int, got {self.seed!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative int, got {self.seed}")
 
 
 RngLike = Union[int, np.random.SeedSequence, np.random.Generator]
@@ -109,7 +98,6 @@ _TASK_WORDS = 4  # the most words one task's inline draws read
 _DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2**-53
 _U32 = 0xFFFFFFFF
 _SPAN32 = 1 << 32  # the widest span a 32-bit Lemire draw covers
-_U64 = 0xFFFFFFFFFFFFFFFF
 _U128 = (1 << 128) - 1
 _ZERO = Fraction(0)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
@@ -168,26 +156,18 @@ _STATE_KEYS = [(j % _POOL, key, mul) for j, (key, mul)
 
 def _bounded(size: int, m: int, words: list[int], i: int, half: int,
              bitgen: np.random.BitGenerator) -> tuple[int, int, int]:
-    """Finish, as ``Generator.integers`` would, a draw of ``size`` values
-    begun as a 32-bit Lemire draw: ``m`` is the half word taken times
-    ``size``, ``i`` and ``half`` the word position and kept half after it.
-    Spans of 1 and above 2**32 give the half back.  Returns the accepted
-    product (the draw is its bits from 32 up), ``i`` and ``half``."""
-    if size == 1 or size > _SPAN32:
-        # untake the half: the kept one (now spent), or a new word's low one
-        i, half = (i, m // size) if half < 0 else (i - 1, -1)
-        if size == 1:
-            return 0, i, half
-    while size > _SPAN32 or m & _U32 < (_SPAN32 - size) % size:
+    """Finish, as ``Generator.integers`` would, a 32-bit Lemire draw of
+    ``size`` values: ``m`` is the half word taken times ``size``, ``i`` and
+    ``half`` the word position and kept half after it.  A span of 1 gives
+    the half back.  Returns the accepted product (the draw is its bits from
+    32 up), ``i`` and ``half``."""
+    if size == 1:
+        # untake the half: the kept one (m, now spent), or a new word's low one
+        return (0, i, m) if half < 0 else (0, i - 1, -1)
+    while m & _U32 < (_SPAN32 - size) % size:
         if len(words) - i <= _TASK_WORDS:
             words += bitgen.random_raw(_WORDS_PER_BATCH).tolist()
-        if size > _SPAN32:
-            # numpy's span of 2**64 needs no case of its own on Python ints
-            m = words[i] * size
-            i += 1
-            if m & _U64 >= (_U64 + 1 - size) % size:
-                return m >> 64 << 32, i, half
-        elif half < 0:
+        if half < 0:
             half, m = words[i] >> 32, (words[i] & _U32) * size
             i += 1
         else:
@@ -198,41 +178,39 @@ def _bounded(size: int, m: int, words: list[int], i: int, half: int,
 def _draw_ticks(params: GenParams, rng: np.random.Generator
                 ) -> tuple[bool, int, int, int]:
     """One task's draws as ``(is_hc, C_L, C, T)`` in integer ticks."""
-    res = params.resolution
-    is_hc = bool(rng.random() < params.ph)
-    cl = int(rng.integers(params.cl_range[0] * res, params.cl_range[1] * res,
+    is_hc = bool(rng.random() < _PH)
+    cl = int(rng.integers(_CL_RANGE[0] * _RESOLUTION, _CL_RANGE[1] * _RESOLUTION,
                           endpoint=True))
     if is_hc or params.inflate_lc:
         c = int(rng.integers(cl, params.rc * cl, endpoint=True))
     else:
         c = cl
-    t = int(rng.integers(c, params.t_max * res, endpoint=True))
+    t = int(rng.integers(c, _T_MAX * _RESOLUTION, endpoint=True))
     return is_hc, cl, c, t
 
 
-def _task_of(params: GenParams, ticks: tuple[bool, int, int, int],
-             task_id: int) -> McTask:
+def _task_of(ticks: tuple[bool, int, int, int], task_id: int) -> McTask:
     # the draws keep 0 < C_L <= C <= T
     is_hc, cl, c, t = ticks
-    res = params.resolution
     return McTask._from_valid(
         id=task_id,
-        period=Fraction(t, res),
-        wcet=Fraction(c, res),
+        period=Fraction(t, _RESOLUTION),
+        wcet=Fraction(c, _RESOLUTION),
         criticality=Criticality.HC if is_hc else Criticality.LC,
         alpha=_ZERO,
-        lc_estimate=Fraction(cl, res),
+        lc_estimate=Fraction(cl, _RESOLUTION),
     )
 
 
 def gen_task(params: GenParams, rng: RngLike, task_id: int = 1) -> McTask:
     """Draw one task: criticality, optimistic budget, WCET, period.
 
-    The optimistic execution C_L is uniform on ``cl_range``; HC WCETs are
-    uniform on [C_L, rc * C_L]; periods are uniform on [C, t_max].  All
-    uniforms are discretized to ``resolution`` ticks.
+    A task is HC with probability ``_PH`` (1/2), C_L is uniform on
+    ``_CL_RANGE`` ([1, 10]), an HC WCET (any WCET under ``inflate_lc``) on
+    [C_L, rc * C_L], and a period on [C, ``_T_MAX``] ([C, 200]), all on
+    ``_RESOLUTION`` (100) ticks per time unit.
     """
-    return _task_of(params, _draw_ticks(params, np.random.default_rng(rng)), task_id)
+    return _task_of(_draw_ticks(params, np.random.default_rng(rng)), task_id)
 
 
 def gen_taskset(params: GenParams,
@@ -249,12 +227,12 @@ def gen_taskset(params: GenParams,
     periods, and tasks are built only for the attempt that lands.
 
     Raises:
-        GenerationTimeout: after ``max_restarts`` failed attempts.
+        GenerationTimeout: after ``_MAX_RESTARTS`` (10**6) failed attempts.
     """
-    return _grow(params, rng, range(params.max_restarts))
+    return _grow(params, rng, range(_MAX_RESTARTS))
 
 
-def _grow(params: GenParams, rng, attempts) -> TaskSet:
+def _grow(params: GenParams, rng, attempts: Sequence[int]) -> TaskSet:
     """The set of the first of ``attempts`` that lands in the band.
 
     One loop runs each attempt: it seeds the call's PCG64 through its
@@ -279,9 +257,9 @@ def _grow(params: GenParams, rng, attempts) -> TaskSet:
     bitgen = np.random.PCG64(0)
     state = bitgen.state
     pcg = state["state"]
-    res, ph, rc, inflate = params.resolution, params.ph, params.rc, params.inflate_lc
-    cl_lo, cl_size = params.cl_range[0] * res, (params.cl_range[1] - params.cl_range[0]) * res + 1
-    t_hi = params.t_max * res
+    ph, rc, inflate = _PH, params.rc, params.inflate_lc
+    cl_lo, cl_size = _CL_RANGE[0] * _RESOLUTION, (_CL_RANGE[1] - _CL_RANGE[0]) * _RESOLUTION + 1
+    t_hi = _T_MAX * _RESOLUTION
     # 2*lo <= num/den <= 2*hi, cross-multiplied
     (lo_n, lo_d), (hi_n, hi_d) = ((2 * b.numerator, b.denominator) for b in params.band)
     for attempt in attempts:
@@ -317,7 +295,7 @@ def _grow(params: GenParams, rng, attempts) -> TaskSet:
                 i += 1
             else:
                 half, m = -1, half * cl_size
-            if m & _U32 < cl_size or cl_size == 1:
+            if m & _U32 < cl_size:
                 m, i, half = _bounded(cl_size, m, words, i, half, bitgen)
             c = cl = cl_lo + (m >> 32)
             if is_hc or inflate:
@@ -345,10 +323,10 @@ def _grow(params: GenParams, rng, attempts) -> TaskSet:
             if num * hi_d > hi_n * den:
                 break
             if num * lo_d >= lo_n * den:
-                return TaskSet(tuple(_task_of(params, d, n)
+                return TaskSet(tuple(_task_of(d, n)
                                      for n, d in enumerate(drawn, start=1)))
     raise GenerationTimeout(
-        f"no task set hit band {params.band} in {params.max_restarts} attempts")
+        f"no task set hit band {params.band} in {len(attempts)} attempts")
 
 
 @dataclass(frozen=True)

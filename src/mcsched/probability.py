@@ -171,15 +171,17 @@ def _enumerate_mass(weights: Sequence[Sequence[tuple[int, int]]],
     return total
 
 
-def _convolve_mass(weights: Sequence[Sequence[tuple[int, int]]],
-                   bound: int, max_states: int) -> int:
+_MAX_STATES = 200_000  # the state cap of the convolution lattice
+
+
+def _convolve_mass(weights: Sequence[Sequence[tuple[int, int]]], bound: int) -> int:
     """Exact mass of { sum_i v_i <= bound } by lattice convolution.
 
     States above the bound are pruned (increments are non-negative, so they
     can never re-enter the feasible region).
 
     Raises:
-        GridOverflow: if the running state count exceeds ``max_states``.
+        GridOverflow: if the running state count exceeds ``_MAX_STATES``.
     """
     acc: dict[int, int] = {0: 1}
     for col in weights:
@@ -191,15 +193,15 @@ def _convolve_mass(weights: Sequence[Sequence[tuple[int, int]]],
                 t2 = tot + value
                 if t2 <= bound:
                     nxt[t2] += p * weight
-        if len(nxt) > max_states:
+        if len(nxt) > _MAX_STATES:
             raise GridOverflow(
-                f"convolution lattice grew to {len(nxt)} states (cap {max_states})")
+                f"convolution lattice grew to {len(nxt)} states (cap {_MAX_STATES})")
         acc = dict(nxt)
     return sum(acc.values())
 
 
 def p_noswitch_dynamic(dist: ExecDistribution, u_list: Sequence, beta_star, *,
-                       method: str = "auto", max_states: int = 200_000) -> float:
+                       method: str = "auto") -> float:
     """Survival probability of one busy interval under the dynamic pool.
 
     The interval stays nominal iff the drawn scales satisfy
@@ -217,15 +219,14 @@ def p_noswitch_dynamic(dist: ExecDistribution, u_list: Sequence, beta_star, *,
     holds at most ``min(k**i, B + 1)`` states, so at most ``C = sum_{i<n}
     k * min(k**i, B + 1)`` steps; enumeration makes ``E = k**ceil(n/2) +
     k**floor(n/2)`` sums.  Up to 8 tasks it convolves iff ``C <= E`` and
-    ``min(k**n, B + 1)``, which bounds every column, fits ``max_states``, so
-    it never raises GridOverflow there; beyond 8 it always convolves.
+    ``min(k**n, B + 1)``, which bounds every column, fits ``_MAX_STATES``,
+    so it never raises GridOverflow there; beyond 8 it always convolves.
 
     Args:
         method: "auto", or "enumerate" / "convolve" to force one.
-        max_states: state cap for the convolution lattice.
 
     Raises:
-        GridOverflow: if convolution exceeds ``max_states`` states.
+        GridOverflow: if convolution exceeds ``_MAX_STATES`` states.
     """
     us = [as_fraction(u, "utilization") for u in u_list]
     if not us or any(u <= 0 for u in us):
@@ -248,12 +249,12 @@ def p_noswitch_dynamic(dist: ExecDistribution, u_list: Sequence, beta_star, *,
         method = "convolve"
         if n <= 8 and (sum(k * min(k**i, int_bound + 1) for i in range(n))
                        > k ** ((n + 1) // 2) + k ** (n // 2)
-                       or min(k**n, int_bound + 1) > max_states):
+                       or min(k**n, int_bound + 1) > _MAX_STATES):
             method = "enumerate"
     if method == "enumerate":
         mass = _enumerate_mass(weights, int_bound)
     elif method == "convolve":
-        mass = _convolve_mass(weights, int_bound, max_states)
+        mass = _convolve_mass(weights, int_bound)
     else:
         raise ValueError(f"unknown method {method!r}")
     return float(Fraction(mass, w_scale ** len(us)))

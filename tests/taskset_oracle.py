@@ -22,11 +22,15 @@ import numpy as np
 
 from mcsched.errors import GenerationTimeout
 from mcsched.generator import (
+    _CL_RANGE,
     _INIT_B,
+    _MAX_RESTARTS,
     _MULT_B,
+    _PH,
     _POOL,
+    _RESOLUTION,
+    _T_MAX,
     _U32,
-    _U64,
     _draw_ticks,
     _mix_entropy,
     _uint32_words,
@@ -55,10 +59,10 @@ def average_utilization(ticks) -> Fraction:
                Fraction(0)) / 2
 
 
-def task_of(params, ticks, task_id: int) -> McTask:
+def task_of(ticks, task_id: int) -> McTask:
     """Task ``task_id`` from its draws, through every ``McTask`` check."""
     is_hc, cl, c, t = ticks
-    res = params.resolution
+    res = _RESOLUTION
     return McTask(task_id, Fraction(t, res), Fraction(c, res),
                   Criticality.HC if is_hc else Criticality.LC,
                   lc_estimate=Fraction(cl, res))
@@ -74,14 +78,14 @@ def landing(params, draws) -> TaskSet | None:
         if u > hi:
             return None
         if u >= lo:
-            return TaskSet(tuple(task_of(params, d, i)
+            return TaskSet(tuple(task_of(d, i)
                                  for i, d in enumerate(drawn, start=1)))
     raise AssertionError("draws ran out")
 
 
 def gen_taskset(params, rng=None, attempts=None) -> TaskSet:
     """``gen_taskset`` on numpy's own seeding and draws."""
-    for attempt in range(params.max_restarts) if attempts is None else attempts:
+    for attempt in range(_MAX_RESTARTS) if attempts is None else attempts:
         ts = landing(params, numpy_draws(params, rng, attempt))
         if ts is not None:
             return ts
@@ -132,45 +136,46 @@ def _raw_words(bitgen: np.random.BitGenerator):
         yield from bitgen.random_raw(_WORDS_PER_BATCH).tolist()
 
 
+def integer(low: int, high: int, word, half: int | None) -> tuple[int, int | None]:
+    """``Generator.integers(low, high, endpoint=True)`` for a span of at
+    most 2**32: Lemire's draw on 32-bit halves of the words ``word()``
+    returns, low half first, with ``half`` the high one kept from an
+    earlier draw (None for none).  Returns the draw and the kept half."""
+    size = high - low + 1
+    if size == 1:
+        return low, half
+    while True:
+        if half is None:
+            w = word()
+            half, m = w >> 32, (w & _U32) * size
+        else:
+            half, m = None, half * size
+        if m & _U32 >= size or m & _U32 >= (_U32 + 1 - size) % size:
+            return low + (m >> 32), half
+
+
 def decode_ticks(params, bitgen: np.random.BitGenerator):
     """``_draw_ticks`` on ``Generator(bitgen)``, task after task, from raw
     words read ahead in batches (so ``bitgen`` must be discarded after)."""
-    res, ph, rc, inflate = params.resolution, params.ph, params.rc, params.inflate_lc
-    cl_lo, cl_hi = params.cl_range[0] * res, params.cl_range[1] * res
-    t_hi = params.t_max * res
+    res, rc, inflate = _RESOLUTION, params.rc, params.inflate_lc
+    cl_lo, cl_hi = _CL_RANGE[0] * res, _CL_RANGE[1] * res
+    t_hi = _T_MAX * res
     word = _raw_words(bitgen).__next__
     half = None
-
-    def integer(low: int, high: int) -> int:
-        nonlocal half
-        size = high - low + 1
-        if size == 1:
-            return low
-        if size > _U32 + 1:
-            m = word() * size
-            while m & _U64 < size and m & _U64 < (_U64 + 1 - size) % size:
-                m = word() * size
-            return low + (m >> 64)
-        while True:
-            if half is None:
-                w = word()
-                half, m = w >> 32, (w & _U32) * size
-            else:
-                half, m = None, half * size
-            if m & _U32 >= size or m & _U32 >= (_U32 + 1 - size) % size:
-                return low + (m >> 32)
-
     while True:
-        is_hc = (word() >> 11) * (1.0 / 9007199254740992.0) < ph
-        cl = integer(cl_lo, cl_hi)
-        c = integer(cl, rc * cl) if is_hc or inflate else cl
-        yield is_hc, cl, c, integer(c, t_hi)
+        is_hc = (word() >> 11) * (1.0 / 9007199254740992.0) < _PH
+        cl, half = integer(cl_lo, cl_hi, word, half)
+        c = cl
+        if is_hc or inflate:
+            c, half = integer(cl, rc * cl, word, half)
+        t, half = integer(c, t_hi, word, half)
+        yield is_hc, cl, c, t
 
 
 def old_gen_taskset(params, rng=None) -> TaskSet:
     """``gen_taskset`` as it was: one PCG64 and one decoder per attempt."""
     stream = attempt_streams(rng, params.seed)
-    for attempt in range(params.max_restarts):
+    for attempt in range(_MAX_RESTARTS):
         ts = landing(params, decode_ticks(params, stream(attempt)))
         if ts is not None:
             return ts

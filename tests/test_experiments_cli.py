@@ -402,6 +402,9 @@ def test_cli_malformed_taskset_exit_code(tmp_path, capsys):
      "error: analyze: {dir}/short_line.txt: line 2: expected 4-6 fields, got 3"),
     (["simulate", "--taskset", "{set}", "--policy", "vd", "--x", "1/2",
       "--horizon", "1e9"], "--horizon 1000000000 would release 300000000 jobs"),
+    (["gen", "--band", "0.55", "--rc", "21"], "error: gen: rc must lie in [1, 20], got 21"),
+    (["gen", "--band", "0.55", "--seed", "-1"],
+     "error: gen: seed must be a non-negative int, got -1"),
 ])
 def test_cli_usage_errors_exit_2(tmp_path, capsys, half_four_fifths_set,
                                  argv, message):

@@ -27,7 +27,7 @@ from mcsched import (
     random_feasible_scenario,
     validate_jobs,
 )
-from mcsched.generator import _grow, _release_ticks, band_label
+from mcsched.generator import _U32, _bounded, _grow, _release_ticks, band_label
 from mcsched.taskmodel import format_taskset
 
 import job_sequence_oracle as oracle
@@ -183,29 +183,13 @@ def test_attempt_seeds_reject_what_numpy_rejects(root, error):
         gen_taskset(GenParams(band=BANDS[0]), root)
 
 
-# Parameter corners of the decoder: no word for a zero-width C_L span, rc = 1
-# (zero-width C span), the inflated variant, all-LC and all-HC sets, a
-# period span of 2**31 + 1 (32-bit Lemire rejecting about half its first
-# draws, so rejections chain past the kept half word), one of 2**32 - 1
-# (numpy's plain 32-bit word) and spans of 2**32 and above (the 64-bit
-# branch; one of 2**62 rejects about a quarter of its first draws).
+# Parameter corners of the decoder: rc = 1 (zero-width C span), the
+# inflated variant, and the largest rc, 20, whose C spans reach 19,001
+# ticks.
 DECODE_CORNERS = [
-    GenParams(band=BANDS[0], cl_range=(3, 3)),
     GenParams(band=BANDS[0], rc=1),
     GenParams(band=BANDS[0], rc=4, inflate_lc=True),
-    GenParams(band=BANDS[0], ph=0.0),
-    GenParams(band=BANDS[0], ph=1.0),
-    GenParams(band=BANDS[0], ph=0.0, cl_range=(1, 1), resolution=1,
-              t_max=2**31 + 2),
-    GenParams(band=BANDS[0], ph=0.0, cl_range=(1, 1), resolution=1,
-              t_max=2**32),
-    GenParams(band=BANDS[0], ph=0.0, cl_range=(1, 1), resolution=1,
-              t_max=2**32 + 1),
-    GenParams(band=BANDS[0], resolution=10**6, t_max=10**4),
-    GenParams(band=BANDS[0], ph=0.0, cl_range=(1, 1), resolution=1,
-              t_max=2**62 + 1),
-    GenParams(band=BANDS[0], rc=5, ph=0.3, cl_range=(2, 9), resolution=10**6,
-              t_max=2**62 // 10**6),
+    GenParams(band=BANDS[0], rc=20),
 ]
 
 
@@ -218,6 +202,44 @@ def test_draws_decode_like_generator(seed):
     for params in DECODE_CORNERS:
         for attempt in (0, 7):
             grows_numpy_draws(params, ss, attempt, n=80)
+
+
+# A zero low half always rejects at a span that is not a power of two, so
+# crafted words steer a draw down each of _bounded's paths; a PCG64's own
+# words follow them.  ``used`` and ``kept`` are the words the draw reads
+# and the half it keeps after it (-1 for none).
+@pytest.mark.parametrize("size, words, half, used, kept", [
+    # a rejection taken from a fresh word; the retry takes its high half
+    (901, [0xDEADBEEF << 32], -1, 1, -1),
+    # a rejection taken from the kept half; the retry takes a fresh word
+    (901, [0xFEEDFACE << 32 | 0xCAFEF00D], 0, 1, 0xFEEDFACE),
+    # twelve rejections chained through six zero words, with the refill
+    # that reads the next batch in the middle of the chain
+    (19_001, [0] * 6, -1, 7, None),
+    # a span of 1 reads nothing: it gives back the kept half, or the fresh
+    # word whose low half was taken
+    (1, [], 9, 0, 9),
+    (1, [0x1234 << 32 | 0x5678], -1, 0, -1),
+])
+def test_bounded_finishes_draws_as_the_oracle(size, words, half, used, kept):
+    bitgen = np.random.PCG64(8)
+    twin = np.random.PCG64()
+    twin.state = bitgen.state
+    # the oracle's integer step on the same words
+    stream = iter(words + twin.random_raw(64).tolist())
+    read = []
+    value, their_half = taskset_oracle.integer(
+        0, size - 1, lambda: read.append(1) or next(stream), None if half < 0 else half)
+    # _grow's inline take of a half word times size, then _bounded
+    mine = list(words)
+    if half < 0:
+        half, m, i = mine[0] >> 32, (mine[0] & _U32) * size, 1
+    else:
+        half, m, i = -1, half * size, 0
+    m, i, half = _bounded(size, m, mine, i, half, bitgen)
+    assert (m >> 32, i, half) == (value, len(read), -1 if their_half is None else their_half)
+    assert i == used and (kept is None or half == kept)
+    assert mine[:len(words)] == words
 
 
 @pytest.mark.parametrize("kind", ["seedseq", "spawned", "int", "long int", "none"])
@@ -249,21 +271,25 @@ def test_later_attempts_land_as_numpy_says():
             assert _grow(params, rng, attempts) == expect
 
 
-@pytest.mark.parametrize("band", [(F(1, 8), F(1, 4)), (F(1, 4), F(3, 8))])
-def test_band_edges_are_inclusive(band):
-    # one LC task of C = 1 and T in {1, 2}: only T = 2 can land, and its
-    # average utilization 1/4 sits exactly on an edge of the band
-    params = GenParams(band=band, ph=0.0, cl_range=(1, 1), t_max=2,
-                       resolution=1, max_restarts=64)
-    ts = gen_taskset(params, np.random.SeedSequence(0))
-    assert [(t.period, t.wcet) for t in ts.tasks] == [(F(2), F(1))]
-    assert avg_utilization(ts) == F(1, 4)
+@pytest.mark.parametrize("edge", ["hi", "lo"])
+def test_band_edges_are_inclusive(edge):
+    # attempt 0 lands with its first three tasks when their exact average
+    # utilization u is the upper edge of a band whose lower edge lies above
+    # the first two tasks' average u2, or the lower edge of [u, u + 1]
+    rng = np.random.SeedSequence(0)
+    draws = list(islice(taskset_oracle.numpy_draws(GenParams(band=BANDS[0]), rng, 0), 3))
+    u2, u = (taskset_oracle.average_utilization(draws[:n]) for n in (2, 3))
+    params = GenParams(band=((u2 + u) / 2, u) if edge == "hi" else (u, u + 1))
+    ts = gen_taskset(params, rng)
+    assert ts == taskset_oracle.landing(params, iter(draws))
+    assert len(ts.tasks) == 3 and avg_utilization(ts) == u
 
 
 def test_generation_timeout():
-    params = GenParams(band=(F(1, 1000), F(2, 1000)), max_restarts=5)
-    with pytest.raises(GenerationTimeout):
-        gen_taskset(params, np.random.SeedSequence(0))
+    # one task alone averages at least 1/400, above the band
+    params = GenParams(band=(F(1, 1000), F(2, 1000)))
+    with pytest.raises(GenerationTimeout, match="in 5 attempts"):
+        _grow(params, np.random.SeedSequence(0), range(5))
 
 
 def test_params_validation():
@@ -271,36 +297,32 @@ def test_params_validation():
         GenParams(band=(F(1, 2), F(1, 2)))
     with pytest.raises(ValueError):
         GenParams(band=(F(0), F(1, 2)))
-    with pytest.raises(ValueError):
-        GenParams(band=BANDS[0], rc=0)
-    for cl_range in ((0, 1), (-1, 5), (5, 4)):
-        with pytest.raises(ValueError, match="cl_range"):
-            GenParams(band=BANDS[0], cl_range=cl_range)
-    for resolution in (0, -100):
-        with pytest.raises(ValueError, match="resolution"):
-            GenParams(band=BANDS[0], resolution=resolution)
-    # rc * cl_range[1] = 30 here; a period draw on [C, 2] cannot exist
-    with pytest.raises(ValueError, match="t_max"):
-        GenParams(band=BANDS[0], t_max=2)
-    GenParams(band=BANDS[0], cl_range=(1, 1), resolution=1)
-    GenParams(band=BANDS[0], ph=0)
-    GenParams(band=BANDS[0], ph=1)
+    for rc in (0, 21):
+        with pytest.raises(ValueError, match="rc"):
+            GenParams(band=BANDS[0], rc=rc)
+    GenParams(band=BANDS[0], rc=1)
+    GenParams(band=BANDS[0], rc=20)
+
+
+def test_numpy_integer_seeds_read_as_ints():
+    params = GenParams(band=BANDS[0], seed=np.int64(5))
+    assert gen_taskset(params) == gen_taskset(GenParams(band=BANDS[0], seed=5))
 
 
 @pytest.mark.parametrize("field, value, error, message", [
-    # NaN and negative ph gave all-LC sets, 1.5 all-HC ones
-    ("ph", 1.5, ValueError, "ph must lie in [0, 1], got 1.5"),
-    ("ph", -1, ValueError, "ph must lie in [0, 1], got -1"),
-    ("ph", float("nan"), ValueError, "ph must lie in [0, 1], got nan"),
     # these reached the decoder and failed there on ``&``
     ("rc", 2.5, TypeError, "rc must be an int, got 2.5"),
-    ("t_max", 150.5, TypeError, "t_max must be an int, got 150.5"),
-    ("resolution", 100.0, TypeError, "resolution must be an int, got 100.0"),
-    ("cl_range", (1.5, 10), TypeError, "cl_range must be two ints, got (1.5, 10)"),
-    ("max_restarts", 10.0, TypeError, "max_restarts must be an int, got 10.0"),
     ("rc", True, TypeError, "rc must be an int, got True"),
-    ("cl_range", (1, 10.0), TypeError, "cl_range must be two ints, got (1, 10.0)"),
-    ("cl_range", (1, 5, 10), TypeError, "cl_range must be two ints, got (1, 5, 10)"),
+    # a WCET draw up to rc * 10 must fit a period of 200
+    ("rc", 21, ValueError, "rc must lie in [1, 20], got 21"),
+    ("rc", 0, ValueError, "rc must lie in [1, 20], got 0"),
+    # these failed in the seed hashing, or went unused beside an rng
+    ("seed", 1.5, TypeError, "seed must be a non-negative int, got 1.5"),
+    ("seed", True, TypeError, "seed must be a non-negative int, got True"),
+    ("seed", "3", TypeError, "seed must be a non-negative int, got '3'"),
+    ("seed", (1, 2), TypeError, "seed must be a non-negative int, got (1, 2)"),
+    ("seed", None, TypeError, "seed must be a non-negative int, got None"),
+    ("seed", -1, ValueError, "seed must be a non-negative int, got -1"),
 ])
 def test_params_reject_bad_values_in_one_line(field, value, error, message):
     with pytest.raises(error) as info:
@@ -446,11 +468,13 @@ def test_lc_jobs_demand_full_wcet_and_hc_jobs_scale():
             assert j.demand == task.wcet
 
 
+# one HC task, so its jobs are every scale drawn
+ONE_HC_TASK = TaskSet((McTask(1, F(2), F(1), Criticality.HC),))
+
+
 def test_grid_demand_matches_its_distribution():
     dist = BUILTIN_DISTRIBUTIONS["table4"]
-    ts = gen_taskset(GenParams(band=BANDS[0], ph=1.0, t_max=2,
-                               cl_range=(1, 1), rc=1),
-                     np.random.SeedSequence(29))
+    ts = ONE_HC_TASK
     jobs = gen_job_sequence(ts, F(10_000 * 2), GridDemand(dist),
                             np.random.SeedSequence(29))
     hc = ts.hc_tasks[0]
@@ -462,9 +486,7 @@ def test_grid_demand_matches_its_distribution():
 
 
 def test_uniform_demand_honours_its_range():
-    ts = gen_taskset(GenParams(band=BANDS[0], ph=1.0, t_max=2,
-                               cl_range=(1, 1), rc=1),
-                     np.random.SeedSequence(31))
+    ts = ONE_HC_TASK
     model = UniformDemand(F(3, 10), F(7, 10))
     jobs = gen_job_sequence(ts, F(500), model, np.random.SeedSequence(31))
     hc = ts.hc_tasks[0]

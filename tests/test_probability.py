@@ -96,10 +96,10 @@ def test_auto_picks_the_method_with_less_predicted_work(monkeypatch, us, beta,
     assert calls == [f"_{picked}_mass"]
 
 
-def test_convolution_state_cap():
+def test_convolution_state_cap(monkeypatch):
+    monkeypatch.setattr(probability, "_MAX_STATES", 3)
     with pytest.raises(GridOverflow):
-        p_noswitch_dynamic(TABLE4, [F(1, 10)] * 6, F(3, 4),
-                           method="convolve", max_states=3)
+        p_noswitch_dynamic(TABLE4, [F(1, 10)] * 6, F(3, 4), method="convolve")
 
 
 # grid off the tenths, with a zero-mass point
@@ -135,12 +135,14 @@ def test_dynamic_survival_matches_brute_force(dist, us, beta):
     mass, peak = brute_force_survival(dist, us, beta)
     for method in ("enumerate", "convolve"):
         assert p_noswitch_dynamic(dist, us, beta, method=method) == float(mass)
-    assert p_noswitch_dynamic(dist, us, beta, method="convolve",
-                              max_states=peak) == float(mass)
-    if peak:
-        with pytest.raises(GridOverflow):
-            p_noswitch_dynamic(dist, us, beta, method="convolve",
-                               max_states=peak - 1)
+    # a function-scoped fixture would be shared by every example
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(probability, "_MAX_STATES", peak)
+        assert p_noswitch_dynamic(dist, us, beta, method="convolve") == float(mass)
+        if peak:
+            mp.setattr(probability, "_MAX_STATES", peak - 1)
+            with pytest.raises(GridOverflow):
+                p_noswitch_dynamic(dist, us, beta, method="convolve")
 
 
 def test_input_validation():

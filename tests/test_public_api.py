@@ -3,9 +3,10 @@
 ``mcsched.__all__`` is every name ``mcsched/__init__.py`` binds that does
 not start with an underscore, submodules included.  Adding or removing one
 changes this list, one name per line, so the change shows up as a
-one-line diff here.
+one-line diff here.  ``GenParams``' fields are pinned the same way.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -105,6 +106,11 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert sorted(mcsched.__all__) == PUBLIC_NAMES
+
+
+def test_gen_params_fields_are_pinned():
+    assert [f.name for f in dataclasses.fields(mcsched.GenParams)] == [
+        "band", "rc", "seed", "inflate_lc"]
 
 
 def test_import_leaves_process_pools_out():
