@@ -25,6 +25,8 @@ from .experiments import (
     EXPERIMENTS,
     W_GRID,
     ExperimentSpec,
+    _FIGURE3_BETAS,
+    _FIGURE3_NS,
     run_experiment,
     su_row,
     survival_rows,
@@ -73,11 +75,16 @@ def _frac(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_from(low: int):
+    """An argparse type for ints of at least ``low``: 0 for seeds, 1 for counts."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be a {'positive' if low else 'non-negative'} integer, got {value}")
+        return value
+    parse.__name__ = "positive_int" if low else "int"  # argparse: "invalid <name> value"
+    return parse
 
 
 _MAX_GENERATED_JOBS = 100_000
@@ -252,25 +259,24 @@ def _cmd_prob(args) -> int:
         dist = BUILTIN_DISTRIBUTIONS.get(args.dist) or load_distribution(args.dist)
     except InputError as exc:
         raise InputError(f"prob: {args.dist}: {exc}") from None
-    betas = [unit_fraction(b, "prob: --beta-star")
-             for b in _frac_list(args.beta_star, "prob: --beta-star")]
-    ns = range(1, 9) if args.n is None else [args.n]
+    betas = _FIGURE3_BETAS if args.beta_star is None else [
+        unit_fraction(b, "prob: --beta-star")
+        for b in _frac_list(args.beta_star, "prob: --beta-star")]
+    ns = _FIGURE3_NS if args.n is None else [args.n]
     us = _frac_list(args.u, "prob: --u") if args.u else None
     if us is not None:
         if any(u <= 0 for u in us):
             raise InputError(f"prob: --u {args.u!r}: utilizations must be positive")
-        if args.n is None:
-            raise InputError(f"prob: --u needs a matching --n (got {len(us)} "
-                             "utilizations)")
-        if len(us) != args.n:
+        if args.n not in (None, len(us)):
             raise InputError(f"prob: got {len(us)} utilizations for n={args.n}")
+        ns = [len(us)]
     models = ("s", "d") if args.model == "both" else (args.model,)
     rows = survival_rows(dist, ns, betas, us, models)
     for row in rows:
         print(f"n={row[0]} beta={row[1]} model={row[2]} p={row[3]:.6f}")
     path = _out_dir(args) / "prob.csv"
     write_rows(path, ["n", "beta", "model", "p"], rows,
-               f"mcsched {__version__} name=prob seed={args.seed}")
+               f"mcsched {__version__} name=prob")
     print(f"wrote {path}")
     return 0
 
@@ -292,9 +298,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=1)
-    common.add_argument("--out", default=None,
+    seeded, writes = _Parser(add_help=False), _Parser(add_help=False)
+    seeded.add_argument("--seed", type=_int_from(0), default=1)
+    writes.add_argument("--out", default=None,
                         help="output directory (default $MCSCHED_OUT or ./results)")
 
     parser = _Parser(
@@ -304,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"mcsched {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common],
+    p = sub.add_parser("analyze", parents=[writes],
                        help="admissibility and utilization trade-offs")
     p.add_argument("--taskset")
     p.add_argument("--u-l", type=_frac)
@@ -316,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write a weighted-utilization sweep over w")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("simulate", parents=[common], help="run one schedule")
+    p = sub.add_parser("simulate", parents=[seeded], help="run one schedule")
     p.add_argument("--taskset", required=True)
     p.add_argument("--policy", choices=("uvd", "vd", "fixed"), default="uvd")
     p.add_argument("--x", type=_frac)
@@ -331,30 +337,30 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check service guarantees and dispatch order")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("gen", parents=[common], help="generate random task sets")
+    p = sub.add_parser("gen", parents=[seeded, writes], help="generate random task sets")
     p.add_argument("--band", required=True,
                    help="band for the average utilization "
                         "(U_L + U_H + sum of HC C_L/T) / 2: lo:hi or a "
                         "label like 0.55")
     p.add_argument("--rc", type=int, default=3)
-    p.add_argument("--count", type=positive_int, default=1)
+    p.add_argument("--count", type=_int_from(1), default=1)
     p.add_argument("--inflate-lc", action="store_true")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("prob", parents=[common],
+    p = sub.add_parser("prob", parents=[writes],
                        help="degradation-avoidance probabilities")
     p.add_argument("--dist", default="table4")
-    p.add_argument("--n", type=positive_int)
-    p.add_argument("--beta-star", default="0.45,0.55,0.65,0.75")
-    p.add_argument("--u", help="comma-separated per-task utilizations")
+    p.add_argument("--n", type=_int_from(1))
+    p.add_argument("--beta-star", help="comma-separated pool levels (default: figure 3's)")
+    p.add_argument("--u", help="comma-separated per-task utilizations; sets n")
     p.add_argument("--model", choices=("s", "d", "both"), default="both")
     p.set_defaults(func=_cmd_prob)
 
-    p = sub.add_parser("experiment", parents=[common],
+    p = sub.add_parser("experiment", parents=[seeded, writes],
                        help="run a canned reproducible study")
     p.add_argument("name", choices=EXPERIMENTS)
-    p.add_argument("--trials", type=positive_int)
-    p.add_argument("--jobs", type=positive_int, default=1, help="worker processes")
+    p.add_argument("--trials", type=_int_from(1))
+    p.add_argument("--jobs", type=_int_from(1), default=1, help="worker processes")
     p.set_defaults(func=_cmd_experiment)
     return parser
 

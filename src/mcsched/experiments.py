@@ -70,6 +70,9 @@ DEFAULT_SEED = 1
 W_GRID = tuple(k / 50 for k in range(1, 51))
 
 _FIGURE2_U_SUM = Fraction(3, 2)  # U_L + U_H of the synthetic sets
+# figure 3's task counts and pool levels, the defaults of ``mcsched prob``
+_FIGURE3_NS = range(1, 9)
+_FIGURE3_BETAS = tuple(Fraction(k, 100) for k in (45, 55, 65, 75))
 _FIGURE4_U_SUM = Fraction(13, 10)
 
 
@@ -198,8 +201,7 @@ def survival_rows(dist: ExecDistribution, ns: Sequence[int], betas: Sequence[Fra
 
 def run_figure3(spec: ExperimentSpec) -> list[tuple]:
     """Busy-interval survival probabilities, static budgets vs dynamic pool."""
-    betas = [Fraction(45, 100), Fraction(55, 100), Fraction(65, 100), Fraction(75, 100)]
-    return survival_rows(BUILTIN_DISTRIBUTIONS["table4"], range(1, 9), betas, None,
+    return survival_rows(BUILTIN_DISTRIBUTIONS["table4"], _FIGURE3_NS, _FIGURE3_BETAS, None,
                          ("s", "d"))
 
 

@@ -263,13 +263,13 @@ def _grow(params: GenParams, rng, attempts: Sequence[int]) -> TaskSet:
     # 2*lo <= num/den <= 2*hi, cross-multiplied
     (lo_n, lo_d), (hi_n, hi_d) = ((2 * b.numerator, b.denominator) for b in params.band)
     for attempt in attempts:
-        if mixers and attempt <= _U32:
+        if mixers:
             pool = []
             for b, key, mul in mixers:
                 v = (attempt ^ key) * mul & _U32
                 r = (b - _MIX_R * (v ^ v >> 16)) & _U32
                 pool.append(r ^ r >> 16)
-        else:  # a root of fewer than _POOL words, or a two-word attempt number
+        else:  # an int root of fewer than _POOL words
             pool = _mix_entropy(prefix + _uint32_words(attempt))[0]
         # generate_state(4, uint64), then PCG64's seeding on its four words
         w = []

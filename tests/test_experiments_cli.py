@@ -357,7 +357,7 @@ def test_cli_malformed_taskset_exit_code(tmp_path, capsys):
       "9:1", "--x", "1/2", "--horizon", "10"], "task 9, which is not an HC task"),
     (["simulate", "--taskset", "{set}", "--policy", "fixed", "--budgets",
       "2:-1", "--x", "1/2", "--horizon", "10"], "budget must be non-negative"),
-    (["prob", "--u", "1/10"], "--u needs a matching --n"),
+    (["prob", "--u", "1/10,1/5,1/4", "--n", "2"], "got 3 utilizations for n=2"),
     (["simulate", "--taskset", "{set}", "--policy", "vd", "--x", "1/2",
       "--jobs-csv", "{dir}/unknown_task.csv"], "job references unknown task 9"),
     (["simulate", "--taskset", "{set}", "--policy", "vd", "--x", "1/2",
@@ -404,7 +404,11 @@ def test_cli_malformed_taskset_exit_code(tmp_path, capsys):
       "--horizon", "1e9"], "--horizon 1000000000 would release 300000000 jobs"),
     (["gen", "--band", "0.55", "--rc", "21"], "error: gen: rc must lie in [1, 20], got 21"),
     (["gen", "--band", "0.55", "--seed", "-1"],
-     "error: gen: seed must be a non-negative int, got -1"),
+     "error: gen: argument --seed: must be a non-negative integer, got -1"),
+    *((argv + ["--seed", "-1"], "argument --seed: must be a non-negative integer, got -1")
+      for argv in (["simulate", "--taskset", "{set}", "--policy", "vd", "--x", "2/5",
+                    "--horizon", "10"],
+                   *(["experiment", name, "--trials", "1"] for name in EXPERIMENTS))),
 ])
 def test_cli_usage_errors_exit_2(tmp_path, capsys, half_four_fifths_set,
                                  argv, message):
@@ -420,7 +424,7 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, half_four_fifths_set,
     (tmp_path / "latin1.txt").write_bytes("taskset v1\n# \u00e9t\u00e9\n".encode("latin-1"))
     (tmp_path / "subdir").mkdir()
     argv = [arg.format(set=path, dir=tmp_path) for arg in argv]
-    if "--out" not in argv:
+    if argv[0] != "simulate" and "--out" not in argv:
         argv += ["--out", str(tmp_path)]
     message = message.format(dir=tmp_path)
     assert main(argv) == 2
@@ -440,10 +444,30 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, half_four_fifths_set,
     (["prob", "--trials", "5"], "unrecognized arguments: --trials 5"),
     (["analyze", "--u-l", "1/2", "--u-h", "1/2", "--jobs", "2"],
      "unrecognized arguments: --jobs 2"),
+    (["analyze", "--u-l", "1/2", "--u-h", "1/2", "--seed", "1"],
+     "unrecognized arguments: --seed 1"),
+    (["prob", "--n", "1", "--seed", "1"], "unrecognized arguments: --seed 1"),
+    (["simulate", "--taskset", "set.txt"], "unrecognized arguments: --out"),
 ])
 def test_cli_counts_are_positive_and_only_on_experiment(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert message in assert_one_error_line(capsys)
+
+
+def test_cli_prob_u_sets_n(tmp_path, capsys):
+    outs = []
+    for n in ([], ["--n", "2"]):
+        assert main(["prob", "--u", "1/10,1/5", *n, "--out", str(tmp_path)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and "n=2 beta=0.45 model=d" in outs[0]
+
+
+def test_cli_prob_defaults_are_figure3(tmp_path, capsys):
+    assert main(["prob", "--out", str(tmp_path)]) == 0
+    run_experiment(spec_for(tmp_path / "figure", "figure3"))
+    prob = (tmp_path / "prob.csv").read_text().splitlines()
+    figure3 = (tmp_path / "figure" / "figure3.csv").read_text().splitlines()
+    assert prob[0].endswith(" name=prob") and prob[1:] == figure3[1:]
 
 
 def test_cli_gen_rejects_an_inverted_band(tmp_path, capsys):

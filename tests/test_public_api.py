@@ -3,9 +3,11 @@
 ``mcsched.__all__`` is every name ``mcsched/__init__.py`` binds that does
 not start with an underscore, submodules included.  Adding or removing one
 changes this list, one name per line, so the change shows up as a
-one-line diff here.  ``GenParams``' fields are pinned the same way.
+one-line diff here.  ``GenParams``' fields and each ``mcsched``
+subcommand's options are pinned the same way.
 """
 
+import argparse
 import dataclasses
 import os
 import subprocess
@@ -13,6 +15,7 @@ import sys
 from pathlib import Path
 
 import mcsched
+from mcsched.cli import build_parser
 
 PUBLIC_NAMES = [
     "BANDS",
@@ -111,6 +114,25 @@ def test_public_names_are_pinned():
 def test_gen_params_fields_are_pinned():
     assert [f.name for f in dataclasses.fields(mcsched.GenParams)] == [
         "band", "rc", "seed", "inflate_lc"]
+
+
+def test_cli_options_are_pinned():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {name: sorted(s for a in p._actions for s in a.option_strings)
+               for name, p in sub.choices.items()}
+    assert options == {
+        "analyze": ["--alpha-star", "--beta-star", "--help", "--out", "--sweep",
+                    "--taskset", "--u-h", "--u-l", "--w", "-h"],
+        "simulate": ["--alpha-star", "--beta-star", "--budgets", "--demand-model",
+                     "--help", "--horizon", "--jobs-csv", "--policy", "--seed",
+                     "--taskset", "--trace", "--verify", "--x", "-h"],
+        "gen": ["--band", "--count", "--help", "--inflate-lc", "--out", "--rc",
+                "--seed", "-h"],
+        "prob": ["--beta-star", "--dist", "--help", "--model", "--n", "--out", "--u",
+                 "-h"],
+        "experiment": ["--help", "--jobs", "--out", "--seed", "--trials", "-h"],
+    }
 
 
 def test_import_leaves_process_pools_out():
