@@ -119,9 +119,11 @@ def _cmd_analyze(args) -> int:
     ts = _load_or_synthesize(args)
     u_l, u_h = utilizations(ts)
     m = threshold_m(ts)
+    if (args.alpha_star is None) != (args.beta_star is None):
+        raise InputError("analyze: need --alpha-star with --beta-star")
     print(f"U_L={u_l} U_H={u_h} M={'none' if m is None else m}")
     status = 0
-    if args.alpha_star is not None and args.beta_star is not None:
+    if args.alpha_star is not None:
         verdict = theorem1_test(ts, args.alpha_star, args.beta_star)
         print(f"schedulable={'yes' if verdict.schedulable else 'no'}"
               f" x_lo={verdict.x_lo} x_hi={verdict.x_hi}")
@@ -186,6 +188,9 @@ def _cmd_simulate(args) -> int:
     cfg = SimConfig(policy, x, horizon=args.horizon)
 
     if args.jobs_csv:
+        for option, value in (("--seed", args.seed), ("--demand-model", args.demand_model)):
+            if value is not None:
+                raise InputError(f"simulate: {option} is for generated jobs, not --jobs-csv")
         try:
             jobs = load_jobs_csv(args.jobs_csv)
             validate_jobs(ts, jobs)
@@ -198,8 +203,10 @@ def _cmd_simulate(args) -> int:
         if count > _MAX_GENERATED_JOBS:
             raise InputError(f"simulate: --horizon {args.horizon} would release {count} "
                              f"jobs, more than {_MAX_GENERATED_JOBS}")
-        model = parse_demand_model(args.demand_model)
-        jobs = gen_job_sequence(ts, args.horizon, model, np.random.SeedSequence(args.seed))
+        model = parse_demand_model(
+            "constant:1" if args.demand_model is None else args.demand_model)
+        seed = 1 if args.seed is None else args.seed
+        jobs = gen_job_sequence(ts, args.horizon, model, np.random.SeedSequence(seed))
 
     trace = simulate(ts, cfg, jobs)
     t_star = mode_switch_instant(trace)
@@ -230,18 +237,22 @@ def _parse_band(text: str):
     for band in BANDS:
         if band_label(band) == text:
             return band
+    forms = "use lo:hi or one of " + ",".join(band_label(b) for b in BANDS)
     lo, sep, hi = text.partition(":")
     if not sep:
-        raise InputError(f"unknown band {text!r}; use lo:hi or one of "
-                         + ",".join(band_label(b) for b in BANDS))
-    return (Fraction(lo), Fraction(hi))
+        raise InputError(f"unknown band {text!r}; {forms}")
+    try:
+        return (Fraction(lo), Fraction(hi))
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"--band {text!r}: lo and hi must be rational numbers; "
+                         f"{forms}") from None
 
 
 def _cmd_gen(args) -> int:
     try:
         params = GenParams(band=_parse_band(args.band), rc=args.rc,
                            seed=args.seed, inflate_lc=args.inflate_lc)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise InputError(f"gen: {exc}") from None
     band = params.band
     out = _out_dir(args)
@@ -322,7 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write a weighted-utilization sweep over w")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("simulate", parents=[seeded], help="run one schedule")
+    p = sub.add_parser("simulate", help="run one schedule")
+    # Not from ``seeded``: the default is None here, and parsers share a
+    # parent's actions, so a default set there would reach gen and experiment.
+    p.add_argument("--seed", type=_int_from(0), help="seed for generated jobs (default 1)")
     p.add_argument("--taskset", required=True)
     p.add_argument("--policy", choices=("uvd", "vd", "fixed"), default="uvd")
     p.add_argument("--x", type=_frac)
@@ -330,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-star", type=_frac)
     p.add_argument("--budgets", help="fixed budgets as id:value,id:value")
     p.add_argument("--horizon", type=_frac)
-    p.add_argument("--demand-model", default="constant:1")
+    p.add_argument("--demand-model", help="for generated jobs (default constant:1)")
     p.add_argument("--jobs-csv")
     p.add_argument("--trace", help="write the event trace to this CSV")
     p.add_argument("--verify", action="store_true",

@@ -231,8 +231,7 @@ def validate_jobs(ts: TaskSet, jobs: Sequence[Job]) -> None:
             demands, or consecutive releases closer than the task period.
     """
     tasks = {t.id: t for t in ts.tasks}
-    last_release: dict[int, Time] = {}
-    by_task: dict[int, list[Job]] = {}
+    last: dict[int, Job] = {}
     for job in sorted(jobs, key=lambda j: (j.release, j.task, j.seq)):
         task = tasks.get(job.task)
         if task is None:
@@ -242,16 +241,13 @@ def validate_jobs(ts: TaskSet, jobs: Sequence[Job]) -> None:
                 f"task {job.task} job {job.seq}: demand {job.demand} outside (0, {task.wcet}]")
         if job.release < 0:
             raise InvalidJobSequence(f"task {job.task} job {job.seq}: negative release")
-        prev = last_release.get(job.task)
-        if prev is not None and job.release - prev < task.period:
-            raise InvalidJobSequence(
-                f"task {job.task}: releases {prev} and {job.release} closer than T={task.period}")
-        last_release[job.task] = job.release
-        by_task.setdefault(job.task, []).append(job)
-    for task_jobs in by_task.values():
-        seqs = [j.seq for j in task_jobs]
-        if seqs != list(range(len(seqs))):
+        prev = last.get(job.task)
+        if prev is not None and job.release - prev.release < task.period:
+            raise InvalidJobSequence(f"task {job.task}: releases {prev.release} and "
+                                     f"{job.release} closer than T={task.period}")
+        if job.seq != (0 if prev is None else prev.seq + 1):
             raise InvalidJobSequence("job sequence numbers must count releases from 0")
+        last[job.task] = job
 
 
 class _Run:
@@ -282,6 +278,17 @@ def simulate(ts: TaskSet, cfg: SimConfig, jobs: Sequence[Job], *,
 
     The run always executes every job to its service limit (there is no
     horizon cutoff), so traces from overloaded scenarios terminate too.
+
+    Events at one instant come in this order: the finished step's
+    ``COMPLETE`` or ``DROP``, or its ``MODE_SWITCH`` followed by the
+    ``DROP``s of the LC jobs it cuts, or its ``DEADLINE_CHANGE``; then the
+    admissions at that instant in (release, task, seq) order, with a
+    ``DROP`` for an LC release with a zero cap while degraded; then
+    ``IDLE`` if nothing is ready; then ``PREEMPT`` and ``DISPATCH``; and
+    last, for a grant at or below the job's consumption, a ``MODE_SWITCH``
+    at the same instant.  A budget or cap that runs out at a release
+    instant is handled before the release, and a completion before an
+    exhaustion.
 
     Args:
         ts: Task set; the policy derives the LC caps and HC budgets from it.
@@ -318,40 +325,36 @@ def simulate(ts: TaskSet, cfg: SimConfig, jobs: Sequence[Job], *,
             run.job.seq if run is not None else None,
             detail, snapshot))
 
+    def cut(run: _Run) -> bool:
+        """The degraded LC rule: drop a job that has had its cap, else cap it."""
+        if run.consumed >= run.cap:
+            emit(EventKind.DROP, now, run, detail=f"served={run.consumed}")
+            return False
+        run.limit = min(run.limit, run.cap)
+        return True
+
     def admit(job: Job):
         task = tasks[job.task]
         run = _Run(job, task, caps.get(task.id))
-        if task.is_lc:
-            if mode is Mode.HC:
-                if run.cap == 0:
-                    # No degraded service to honour; reject outright.
-                    emit(EventKind.DROP, now, run, detail="served=0")
-                    return
-                run.limit = min(job.demand, run.cap)
-                run.demoted = True
-            elif run.cap > 0:
-                run.eff = job.release + x * task.period
-            else:
-                run.demoted = True
-        elif mode is Mode.LC:
+        if mode is Mode.HC:
+            if task.is_lc and not cut(run):
+                return
+        elif task.is_hc or run.cap > 0:
             run.eff = job.release + x * task.period
+        else:
+            run.demoted = True  # a zero cap runs against its deadline from release
         ready.append(run)
 
-    def degrade(t: Time, trigger: _Run):
+    def degrade(trigger: _Run):
         nonlocal mode
         snapshot = None if meba is None else meba.on_budget_exhausted(trigger.task.id)
-        emit(EventKind.MODE_SWITCH, t, trigger,
+        emit(EventKind.MODE_SWITCH, now, trigger,
              detail=f"trigger={trigger.task.id}", snapshot=snapshot)
         mode = Mode.HC
         for run in list(ready):
             run.eff = run.deadline
-            if run.task.is_hc:
-                continue
-            if run.consumed >= run.cap:
-                emit(EventKind.DROP, t, run, detail=f"served={run.consumed}")
+            if run.task.is_lc and not cut(run):
                 ready.remove(run)
-            else:
-                run.limit = min(run.limit, run.cap)
 
     while True:
         while i < len(ordered) and ordered[i].release == now:
@@ -412,7 +415,7 @@ def simulate(ts: TaskSet, cfg: SimConfig, jobs: Sequence[Job], *,
             ready.remove(running)
             running = None
         elif action == "degrade":
-            degrade(now, running)
+            degrade(running)
         elif action == "demote":
             running.demoted = True
             running.eff = running.deadline
@@ -434,17 +437,18 @@ class Violation:
 
 
 def _time_base(ts: TaskSet, trace: ScheduleTrace, extra: Iterable[Time] = ()
-               ) -> tuple[int, Callable[[Time], int], list[int], list[int], list[Mode]]:
+               ) -> tuple[int, Callable[[Time], int], list[int], list[int],
+                          Callable[[int], bool]]:
     """One audit's exact integer time base, derived from its own inputs.
 
     The scale ``S`` is the lcm of the denominators of every event time, job
     release and demand, task period and ``extra`` value, so each of them is
     exactly ``t.numerator * (S // t.denominator)`` ticks.  Returns ``S``,
-    that conversion, the event times in ticks, and the trace's mode changes
-    (a switch to HC, an idle back to LC) as tick instants with the new
-    modes.  The instants are running maxima of the change times, so
-    ``bisect_right`` on them finds the first change later than a given
-    instant, as a scan from the start of the trace does, even where times
+    that conversion, the event times in ticks, the sorted switch instants
+    in ticks, and ``degraded_at(tick)``: whether the last mode change (a
+    switch to HC, an idle back to LC) at or before ``tick`` is a switch.
+    It bisects running maxima of the change times, so it finds the changes
+    that a scan from the start of the trace finds, even where times
     decrease.
     """
     events = trace.events
@@ -466,8 +470,12 @@ def _time_base(ts: TaskSet, trace: ScheduleTrace, extra: Iterable[Time] = ()
     changes = [(t, ev.kind is switch) for t, ev in zip(times, events)
                if ev.kind is switch or ev.kind is idle]
     change_at = list(accumulate((t for t, _ in changes), max))
-    change_to = [Mode.HC if to_hc else Mode.LC for _, to_hc in changes]
-    return scale, ticks, times, change_at, change_to
+
+    def degraded_at(tick: int) -> bool:
+        k = bisect_right(change_at, tick)
+        return k > 0 and changes[k - 1][1]
+
+    return scale, ticks, times, sorted(t for t, to_hc in changes if to_hc), degraded_at
 
 
 def verify_mc_schedulable(ts: TaskSet, cfg: SimConfig, trace: ScheduleTrace
@@ -496,7 +504,7 @@ def verify_mc_schedulable(ts: TaskSet, cfg: SimConfig, trace: ScheduleTrace
     caps = {t.id: t.alpha * t.wcet for t in ts.lc_tasks}
     horizon = cfg.horizon
     extra = [*caps.values(), *(() if horizon is None else (horizon,))]
-    scale, ticks, times, change_at, change_to = _time_base(ts, trace, extra)
+    scale, ticks, times, switches, degraded_at = _time_base(ts, trace, extra)
     periods = {t.id: ticks(t.period) for t in ts.tasks}
     deadlines = {(j.task, j.seq): ticks(j.release) + periods[j.task] for j in trace.jobs}
 
@@ -505,17 +513,13 @@ def verify_mc_schedulable(ts: TaskSet, cfg: SimConfig, trace: ScheduleTrace
     served = dict.fromkeys(deadlines, 0)
     counted_out: set[tuple[int, int]] = set()
     open_at: dict[tuple[int, int], int] = {}
-    switches = []
     for t, ev in zip(times, trace.events):
-        kind = ev.kind
-        if kind is EventKind.MODE_SWITCH:
-            switches.append(t)
         key = (ev.task, ev.job)
         if key not in served:
             continue
-        if kind is EventKind.DISPATCH:
+        if ev.kind is EventKind.DISPATCH:
             open_at[key] = t
-        elif kind in _CLOSES:
+        elif ev.kind in _CLOSES:
             start = open_at.pop(key, None)
             if start is None or t <= start or key in counted_out:
                 continue
@@ -524,7 +528,6 @@ def verify_mc_schedulable(ts: TaskSet, cfg: SimConfig, trace: ScheduleTrace
                 counted_out.add(key)
             else:
                 served[key] += min(t, deadline) - start
-    switches.sort()
 
     limit = None if horizon is None else ticks(horizon)
     violations: list[Violation] = []
@@ -540,9 +543,7 @@ def verify_mc_schedulable(ts: TaskSet, cfg: SimConfig, trace: ScheduleTrace
         else:
             release = ticks(job.release)
             k = bisect_left(switches, release)
-            m = bisect_right(change_at, release)
-            if ((k < len(switches) and switches[k] <= deadline)
-                    or (m and change_to[m - 1] is Mode.HC)):
+            if (k < len(switches) and switches[k] <= deadline) or degraded_at(release):
                 required = min(required, ticks(caps[job.task]))
                 reason = "lc_degraded_service"
             else:
@@ -691,14 +692,9 @@ def edf_dispatch_violations(ts: TaskSet, cfg: SimConfig, trace: ScheduleTrace
     # read from the policy's declared rule, never from scheduler state
     zero_cap = {t.id for t in ts.lc_tasks if cfg.policy.lc_cap(t) == 0}
     x_periods = {t.id: cfg.x * t.period for t in ts.tasks}
-    scale, ticks, times, change_at, change_to = _time_base(ts, trace, x_periods.values())
+    scale, ticks, times, _, degraded_at = _time_base(ts, trace, x_periods.values())
     periods = {t.id: ticks(t.period) for t in ts.tasks}
     virtual = {tid: ticks(v) for tid, v in x_periods.items()}
-
-    def degraded_at(t: int) -> bool:
-        k = bisect_right(change_at, t)
-        return k > 0 and change_to[k - 1] is Mode.HC
-
     closed_at: dict[tuple[int, int], int] = {}
     demote_at: dict[tuple[int, int], int] = {}
     for t, ev in zip(times, trace.events):

@@ -15,7 +15,6 @@ times off the job lattice, an empty trace, stopped runs and, for the
 verifier, a time that decreases.
 """
 
-from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -85,13 +84,12 @@ def edf_configs(cfg, betas):
 
 
 def assert_modes_agree(ts, trace):
-    """The audits' tick mode changes, bisected as the audits do, against
-    the oracle's linear lookup at every probe time."""
-    scale, _, _, change_at, change_to = _time_base(ts, trace)
+    """The audits' tick mode lookup against the oracle's linear lookup at
+    every probe time."""
+    scale, _, _, _, degraded_at = _time_base(ts, trace)
     linear = oracle.mode_timeline(trace)
     for t in probe_times(trace):
-        k = bisect_right(change_at, t * scale)
-        assert (change_to[k - 1] if k else Mode.LC) is oracle.mode_at(linear, t)
+        assert (Mode.HC if degraded_at(t * scale) else Mode.LC) is oracle.mode_at(linear, t)
 
 
 def closed_at_stop(trace: ScheduleTrace) -> ScheduleTrace:

@@ -409,13 +409,23 @@ def test_cli_malformed_taskset_exit_code(tmp_path, capsys):
       for argv in (["simulate", "--taskset", "{set}", "--policy", "vd", "--x", "2/5",
                     "--horizon", "10"],
                    *(["experiment", name, "--trials", "1"] for name in EXPERIMENTS))),
+    *((["simulate", "--taskset", "{set}", "--policy", "vd", "--x", "2/5",
+        "--jobs-csv", "{dir}/one_job.csv", option, value],
+      f"error: simulate: {option} is for generated jobs, not --jobs-csv")
+      for option, value in (("--seed", "5"), ("--demand-model", "grid"))),
+    *((["analyze", "--u-l", "1/2", "--u-h", "4/5", option, value],
+      "error: analyze: need --alpha-star with --beta-star")
+      for option, value in (("--alpha-star", "2"), ("--beta-star", "1/2"))),
+    *((["gen", "--band", band], f"error: gen: --band '{band}': lo and hi must be "
+      "rational numbers; use lo:hi or one of 0.55,0.60,0.65,0.70,0.75")
+      for band in ("1/0:1", ":", "1/2:x")),
 ])
 def test_cli_usage_errors_exit_2(tmp_path, capsys, half_four_fifths_set,
                                  argv, message):
     path = taskset_file(tmp_path, half_four_fifths_set)
     for name, row in (("unknown_task", "9,0,1"), ("zero_demand", "1,0,0"),
                       ("long_demand", "2,0,9/2"), ("negative_release", "1,-1,1"),
-                      ("too_close", "1,0,1\n1,5,1")):
+                      ("too_close", "1,0,1\n1,5,1"), ("one_job", "2,0,1")):
         (tmp_path / f"{name}.csv").write_text(f"task,release,demand\n{row}\n")
     for name, text in (("short_cdf", "1/2 1/2\n1 9/10\n"), ("word", "1 1\nabc\n"),
                        ("ragged", "1/2 x\n"), ("cdf_above_one", "1 2\n")):

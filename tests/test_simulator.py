@@ -214,6 +214,55 @@ def test_degraded_mode_admission_caps_and_drops():
     assert ok and not violations
 
 
+def events(trace):
+    return [(str(ev.time), ev.kind.value, ev.task, ev.job, ev.detail)
+            for ev in trace.events]
+
+
+def test_one_instant_order_puts_the_idle_after_the_admissions():
+    # Today's order at one instant: the finished step's events, then the
+    # admissions, then IDLE, then PREEMPT and DISPATCH, then a switch for a
+    # grant at or below the consumption.  (a) reaches both LC cuts: the
+    # switch at 1/3 cuts a ready job, the release at 2 is cut on admission
+    # before the idle.  (b) dispatches 3/0 on a zero grant at 2.
+    ts = TaskSet((McTask(1, F(2), F(1), Criticality.LC, alpha=F(0)),
+                  McTask(2, F(2), F(1), Criticality.HC),
+                  McTask(3, F(3), F(1), Criticality.HC)))
+    jobs = make_jobs([(1, 0, F(1, 2)), (2, 0, F(1, 2)), (3, 1, 1), (1, 2, F(1, 2))])
+    trace = simulate(ts, SimConfig(EdfUvdMeba(F(1, 5)), F(1, 3)), jobs)
+    assert events(trace) == [
+        ("0", "dispatch", 2, 0, ""),
+        ("1/3", "mode_switch", 2, 0, "trigger=2"),
+        ("1/3", "drop", 1, 0, "served=0"),
+        ("1/2", "complete", 2, 0, ""),
+        ("1/2", "idle", None, None, ""),
+        ("1", "dispatch", 3, 0, ""),
+        ("3/2", "mode_switch", 3, 0, "trigger=3"),
+        ("2", "complete", 3, 0, ""),
+        ("2", "drop", 1, 1, "served=0"),
+        ("2", "idle", None, None, ""),
+    ]
+    ts = TaskSet((McTask(1, F(3), F(1), Criticality.LC, alpha=F(0)),
+                  McTask(2, F(2), F(1), Criticality.HC),
+                  McTask(3, F(4), F(1), Criticality.HC)))
+    jobs = make_jobs([(1, 0, 1), (2, 0, 1), (3, 0, F(1, 2)), (2, 2, F(1, 2))])
+    trace = simulate(ts, SimConfig(EdfUvdMeba(F(2, 3)), F(3, 4)), jobs)
+    assert events(trace) == [
+        ("0", "dispatch", 2, 0, ""),
+        ("1", "complete", 2, 0, ""),
+        ("1", "dispatch", 1, 0, ""),
+        ("2", "complete", 1, 0, ""),
+        ("2", "dispatch", 3, 0, ""),
+        ("2", "mode_switch", 3, 0, "trigger=3"),
+        ("2", "preempt", 3, 0, ""),
+        ("2", "dispatch", 2, 1, ""),
+        ("5/2", "complete", 2, 1, ""),
+        ("5/2", "dispatch", 3, 0, ""),
+        ("3", "complete", 3, 0, ""),
+        ("3", "idle", None, None, ""),
+    ]
+
+
 def test_zero_pool_degrades_at_first_dispatch():
     ts = TaskSet((McTask(1, F(10), F(4), Criticality.HC),))
     jobs = make_jobs([(1, F(0), F(1))])
@@ -305,6 +354,12 @@ def test_validate_jobs_rejects_bad_sequences(half_four_fifths_set):
         validate_jobs(ts, make_jobs([(2, F(0), F(1)), (2, F(4), F(1))]))  # < T apart
     with pytest.raises(InvalidJobSequence):
         validate_jobs(ts, (Job(2, F(0), F(1), seq=5),))  # seqs must count from 0
+    with pytest.raises(InvalidJobSequence, match="sequence numbers"):
+        validate_jobs(ts, (Job(2, F(0), F(1), 0), Job(2, F(10), F(1), 2)))  # skips 1
+    # two faults: the first in release order is reported
+    with pytest.raises(InvalidJobSequence, match="sequence numbers"):
+        validate_jobs(ts, (Job(2, F(0), F(1), 1), Job(3, F(0), F(1), 0),
+                           Job(3, F(4), F(1), 1)))
     validate_jobs(ts, make_jobs([(2, F(0), F(1)), (2, F(10), F(1))]))
 
 
