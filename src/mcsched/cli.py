@@ -90,11 +90,11 @@ def _int_from(low: int):
 _MAX_GENERATED_JOBS = 100_000
 
 
-def _load_taskset(command: str, path: str) -> TaskSet:
+def _load_taskset(path: str) -> TaskSet:
     try:
         return load_taskset(path)
     except InputError as exc:
-        raise InputError(f"{command}: {path}: {exc}") from None
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _out_dir(args) -> Path:
@@ -106,13 +106,13 @@ def _out_dir(args) -> Path:
 
 def _load_or_synthesize(args) -> TaskSet:
     if args.taskset:
-        return _load_taskset("analyze", args.taskset)
+        return _load_taskset(args.taskset)
     if args.u_l is None or args.u_h is None:
-        raise InputError("analyze: need --taskset or both --u-l and --u-h")
+        raise InputError("need --taskset or both --u-l and --u-h")
     try:
         return taskset_with_utilizations(args.u_l, args.u_h)
     except ValueError as exc:
-        raise InputError(f"analyze: --u-l/--u-h: {exc}") from None
+        raise InputError(f"--u-l/--u-h: {exc}") from None
 
 
 def _cmd_analyze(args) -> int:
@@ -120,7 +120,7 @@ def _cmd_analyze(args) -> int:
     u_l, u_h = utilizations(ts)
     m = threshold_m(ts)
     if (args.alpha_star is None) != (args.beta_star is None):
-        raise InputError("analyze: need --alpha-star with --beta-star")
+        raise InputError("need --alpha-star with --beta-star")
     print(f"U_L={u_l} U_H={u_h} M={'none' if m is None else m}")
     status = 0
     if args.alpha_star is not None:
@@ -151,32 +151,31 @@ def _parse_budgets(text: str) -> dict[int, Fraction]:
             tid, _, val = item.partition(":")
             budgets[int(tid)] = Fraction(val)
     except (ValueError, ZeroDivisionError):
-        raise InputError(f"simulate: --budgets {text!r}: "
-                         "use id:value,id:value") from None
+        raise InputError(f"--budgets {text!r}: use id:value,id:value") from None
     return budgets
 
 
 def _cmd_simulate(args) -> int:
-    ts = _load_taskset("simulate", args.taskset)
+    ts = _load_taskset(args.taskset)
     if args.policy == "uvd":
         if args.beta_star is None:
-            raise InputError("simulate: --policy uvd needs --beta-star")
+            raise InputError("--policy uvd needs --beta-star")
         policy = EdfUvdMeba(args.beta_star)
     elif args.policy == "vd":
         policy = EdfVdStatic()
     else:
         if not args.budgets:
-            raise InputError("simulate: --policy fixed needs --budgets")
+            raise InputError("--policy fixed needs --budgets")
         policy = FixedBudget(_parse_budgets(args.budgets))
     try:
         policy.hc_budgets(ts)  # rejects budgets of non-HC tasks, missing lc_estimate
     except ValueError as exc:
-        raise InputError(f"simulate: {exc}") from None
+        raise InputError(str(exc)) from None
 
     x = args.x
     if x is None:
         if args.alpha_star is None or args.beta_star is None:
-            raise InputError("simulate: need --x, or --alpha-star with --beta-star")
+            raise InputError("need --x, or --alpha-star with --beta-star")
         verdict = theorem1_test(ts, args.alpha_star, args.beta_star)
         try:
             x = default_x(verdict)
@@ -184,24 +183,24 @@ def _cmd_simulate(args) -> int:
             print("unschedulable: no admissible deadline factor", file=sys.stderr)
             return 1
     if args.horizon is not None and args.horizon <= 0:
-        raise InputError(f"simulate: --horizon must be positive, got {args.horizon}")
+        raise InputError(f"--horizon must be positive, got {args.horizon}")
     cfg = SimConfig(policy, x, horizon=args.horizon)
 
     if args.jobs_csv:
         for option, value in (("--seed", args.seed), ("--demand-model", args.demand_model)):
             if value is not None:
-                raise InputError(f"simulate: {option} is for generated jobs, not --jobs-csv")
+                raise InputError(f"{option} is for generated jobs, not --jobs-csv")
         try:
             jobs = load_jobs_csv(args.jobs_csv)
             validate_jobs(ts, jobs)
         except (InputError, InvalidJobSequence) as exc:
-            raise InputError(f"simulate: {args.jobs_csv}: {exc}") from None
+            raise InputError(f"{args.jobs_csv}: {exc}") from None
     else:
         if args.horizon is None:
-            raise InputError("simulate: generating jobs needs --horizon")
+            raise InputError("generating jobs needs --horizon")
         count = sum(n for _, n in _release_ticks(ts, args.horizon)[1])
         if count > _MAX_GENERATED_JOBS:
-            raise InputError(f"simulate: --horizon {args.horizon} would release {count} "
+            raise InputError(f"--horizon {args.horizon} would release {count} "
                              f"jobs, more than {_MAX_GENERATED_JOBS}")
         model = parse_demand_model(
             "constant:1" if args.demand_model is None else args.demand_model)
@@ -253,7 +252,7 @@ def _cmd_gen(args) -> int:
         params = GenParams(band=_parse_band(args.band), rc=args.rc,
                            seed=args.seed, inflate_lc=args.inflate_lc)
     except ValueError as exc:
-        raise InputError(f"gen: {exc}") from None
+        raise InputError(str(exc)) from None
     band = params.band
     out = _out_dir(args)
     for i in range(args.count):
@@ -269,17 +268,17 @@ def _cmd_prob(args) -> int:
     try:
         dist = BUILTIN_DISTRIBUTIONS.get(args.dist) or load_distribution(args.dist)
     except InputError as exc:
-        raise InputError(f"prob: {args.dist}: {exc}") from None
+        raise InputError(f"{args.dist}: {exc}") from None
     betas = _FIGURE3_BETAS if args.beta_star is None else [
-        unit_fraction(b, "prob: --beta-star")
-        for b in _frac_list(args.beta_star, "prob: --beta-star")]
+        unit_fraction(b, "--beta-star")
+        for b in _frac_list(args.beta_star, "--beta-star")]
     ns = _FIGURE3_NS if args.n is None else [args.n]
-    us = _frac_list(args.u, "prob: --u") if args.u else None
+    us = _frac_list(args.u, "--u") if args.u else None
     if us is not None:
         if any(u <= 0 for u in us):
-            raise InputError(f"prob: --u {args.u!r}: utilizations must be positive")
+            raise InputError(f"--u {args.u!r}: utilizations must be positive")
         if args.n not in (None, len(us)):
-            raise InputError(f"prob: got {len(us)} utilizations for n={args.n}")
+            raise InputError(f"got {len(us)} utilizations for n={args.n}")
         ns = [len(us)]
     models = ("s", "d") if args.model == "both" else (args.model,)
     rows = survival_rows(dist, ns, betas, us, models)
@@ -380,17 +379,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    command = ""  # parse errors name their subcommand themselves
     try:
         args = build_parser().parse_args(argv)
+        command = f"{args.command}: "
         return args.func(args)
     # Out-of-range service levels, weights and deadline factors can only
     # come from options here, so they are usage errors too, as are files
     # named in arguments that cannot be read or written.
     except (InputError, InvalidFraction, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {command}{exc}", file=sys.stderr)
         return 2
     except McSchedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {command}{exc}", file=sys.stderr)
         return 1
 
 

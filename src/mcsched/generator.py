@@ -10,9 +10,9 @@ Reproducibility contract: the same ``GenParams`` (including seed) always
 produce the same task set, and each restart attempt uses its own child
 stream, so the draws of earlier attempts never leak into later ones.  A set
 drawn by ``gen_taskset`` is the one ``numpy.random.Generator`` calls on the
-attempts' ``SeedSequence`` streams would give, though ``gen_taskset`` hashes
-the seeds and decodes the raw words itself, in one integer loop;
-``tests/test_generator.py`` pins both to the installed numpy.
+attempts' ``SeedSequence`` streams would give, though ``gen_taskset`` mixes
+attempt numbers into the root's pool and decodes the raw words itself, in one
+integer loop; ``tests/test_generator.py`` pins both to the installed numpy.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, permutations, repeat
+from itertools import accumulate, repeat
 from math import lcm
 from typing import Sequence, Union
 
@@ -78,7 +78,7 @@ class GenParams:
         lo = as_fraction(self.band[0], "band lo")
         hi = as_fraction(self.band[1], "band hi")
         if not 0 < lo < hi:
-            raise ValueError(f"band must satisfy 0 < lo < hi, got {self.band}")
+            raise ValueError(f"band must satisfy 0 < lo < hi, got lo={lo}, hi={hi}")
         object.__setattr__(self, "band", (lo, hi))
         if type(self.rc) is not int:
             raise TypeError(f"rc must be an int, got {self.rc!r}")
@@ -110,36 +110,9 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 def _uint32_words(value) -> list[int]:
     """An int, or a nested sequence of ints, as SeedSequence's uint32 words."""
     if isinstance(value, (int, np.integer)):
-        if value < 0:
-            raise ValueError("expected non-negative integer")
         n = int(value)
         return [n >> s & _U32 for s in range(0, max(n.bit_length(), 1), 32)]
-    if isinstance(value, (float, np.inexact, str)):
-        raise TypeError(f"seed must be integer, got {value!r}")
     return [w for v in value for w in _uint32_words(v)]
-
-
-def _mix_entropy(words: list[int]) -> tuple[list[int], int]:
-    """SeedSequence's pool and hash constant after mixing ``words``."""
-    h = _INIT_A
-
-    def hashmix(v: int) -> int:
-        nonlocal h
-        v, h = v ^ h, h * _MULT_A & _U32
-        v = v * h & _U32
-        return v ^ v >> 16
-
-    def mix(dst: int, v: int) -> None:
-        r = (_MIX_L * pool[dst] - _MIX_R * v) & _U32
-        pool[dst] = r ^ r >> 16
-
-    pool = [hashmix(w) for w in (words + [0] * _POOL)[:_POOL]]
-    for src, dst in permutations(range(_POOL), 2):
-        mix(dst, hashmix(pool[src]))
-    for w in words[_POOL:]:
-        for dst in range(_POOL):
-            mix(dst, hashmix(w))
-    return pool, h
 
 
 def _hash_keys(h: int, mult: int, n: int) -> list[tuple[int, int]]:
@@ -236,23 +209,26 @@ def _grow(params: GenParams, rng, attempts: Sequence[int]) -> TaskSet:
     """The set of the first of ``attempts`` that lands in the band.
 
     One loop runs each attempt: it seeds the call's PCG64 through its
-    state, hashing the attempt number as SeedSequence would onto the prefix
-    mixed once, decodes each task's draws inline from raw words read ahead
-    in batches, as ``Generator`` does (a double is a word's top 53 bits, a
-    bounded draw Lemire's multiply-and-reject on 32-bit halves, low first
-    and the high one kept), and runs the band test.
+    state, hashing the attempt number as SeedSequence would into the root's
+    pool, mixed once by numpy, decodes each task's draws inline from raw
+    words read ahead in batches, as ``Generator`` does (a double is a word's
+    top 53 bits, a bounded draw Lemire's multiply-and-reject on 32-bit
+    halves, low first and the high one kept), and runs the band test.
     """
     if isinstance(rng, np.random.SeedSequence):
         # a spawn key pads the run entropy to the pool size
-        prefix = _uint32_words(rng.entropy)
-        prefix += [0] * (_POOL - len(prefix)) + _uint32_words(rng.spawn_key)
-    else:
-        prefix = _uint32_words(params.seed if rng is None else rng)
+        n = max(len(_uint32_words(rng.entropy)), _POOL) + len(_uint32_words(rng.spawn_key))
+        if rng.pool_size != _POOL:  # attempts mix on pools of the default size
+            rng = np.random.SeedSequence(rng.entropy, spawn_key=rng.spawn_key)
+    else:  # numpy raises for a root it rejects
+        root = params.seed if rng is None else rng
+        rng, n = np.random.SeedSequence(root), len(_uint32_words(root))
     mixers = None
-    if len(prefix) >= _POOL:  # the prefix fills the pool; attempts mix in after
-        pool, h = _mix_entropy(prefix)
+    if n >= _POOL:  # the n prefix words fill the pool; attempts mix in after
+        # hashmix ran 4 times to fill the pool, 12 to cross-mix it, 4 per later word
+        h = _INIT_A * pow(_MULT_A, 4 * n, _SPAN32) & _U32
         mixers = [(_MIX_L * b, key, mul)
-                  for b, (key, mul) in zip(pool, _hash_keys(h, _MULT_A, _POOL))]
+                  for b, (key, mul) in zip(rng.pool.tolist(), _hash_keys(h, _MULT_A, _POOL))]
     # one PCG64 for every attempt, each setting its whole state
     bitgen = np.random.PCG64(0)
     state = bitgen.state
@@ -270,7 +246,7 @@ def _grow(params: GenParams, rng, attempts: Sequence[int]) -> TaskSet:
                 r = (b - _MIX_R * (v ^ v >> 16)) & _U32
                 pool.append(r ^ r >> 16)
         else:  # an int root of fewer than _POOL words
-            pool = _mix_entropy(prefix + _uint32_words(attempt))[0]
+            pool = np.random.SeedSequence((root, attempt)).pool.tolist()
         # generate_state(4, uint64), then PCG64's seeding on its four words
         w = []
         for j, key, mul in _STATE_KEYS:

@@ -6,8 +6,8 @@ Two references the fused restart loop must agree with, set for set:
   ``Generator(PCG64(SeedSequence(entropy, spawn_key=spawn_key + (k,))))``
   (``SeedSequence((root, k))`` for an int root) with ``_draw_ticks``, and
   the band test runs on ``Fraction`` sums;
-* the loop ``gen_taskset`` replaced: a ``PCG64`` built per attempt on seed
-  words hashed in Python (``attempt_streams``), and a generator function
+* the loop ``gen_taskset`` replaced: a ``PCG64`` built per attempt on a
+  state hashed in Python (``attempt_streams``), and a generator function
   that decodes each task's draws from batches of raw words
   (``decode_ticks``).
 
@@ -32,7 +32,6 @@ from mcsched.generator import (
     _T_MAX,
     _U32,
     _draw_ticks,
-    _mix_entropy,
     _uint32_words,
 )
 from mcsched.taskmodel import Criticality, McTask, TaskSet
@@ -115,8 +114,8 @@ class _PcgSeed(np.random.bit_generator.ISeedSequence):
 
 
 def attempt_streams(rng, seed: int):
-    """Restart attempt ``k``'s PCG64, seeded from the words ``prefix +
-    words(k)`` hashed by SeedSequence's rules."""
+    """Restart attempt ``k``'s PCG64, seeded from numpy's pool of the words
+    ``prefix + words(k)``, whole, hashed by ``generate_state``'s rules."""
     if isinstance(rng, np.random.SeedSequence):
         # a spawn key pads the run entropy to the pool size
         prefix = _uint32_words(rng.entropy)
@@ -125,8 +124,8 @@ def attempt_streams(rng, seed: int):
         prefix = _uint32_words(seed if rng is None else rng)
 
     def stream(attempt: int) -> np.random.PCG64:
-        pool, _ = _mix_entropy(prefix + _uint32_words(attempt))
-        return np.random.PCG64(_PcgSeed(pool))
+        pool = np.random.SeedSequence(prefix + _uint32_words(attempt)).pool
+        return np.random.PCG64(_PcgSeed(pool.tolist()))
 
     return stream
 

@@ -443,6 +443,35 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, half_four_fifths_set,
     assert message in err
 
 
+@pytest.mark.parametrize("argv, status, line", [
+    (["analyze", "--u-l", "1/2", "--u-h", "2/5", "--alpha-star", "2", "--beta-star", "0"],
+     2, "analyze: alpha_star must lie in [0, 1], got 2"),
+    (["simulate", "--taskset", "{dir}/no_such.txt", "--x", "1/2", "--horizon", "10"],
+     2, "simulate: [Errno 2] No such file or directory: '{dir}/no_such.txt'"),
+    (["simulate", "--taskset", "{set}", "--beta-star", "1/4", "--x", "2/5",
+      "--horizon", "10", "--demand-model", ""],
+     2, "simulate: unknown demand model ''; use grid, uniform:LO:HI or constant:S"),
+    (["prob", "--dist", "{dir}/no_such"],
+     2, "prob: [Errno 2] No such file or directory: '{dir}/no_such'"),
+    (["experiment", "figure2", "--out", "{set}"], 2, "experiment: [Errno 17] File exists: '{set}'"),
+    (["analyze", "--taskset", "{hc_only}", "--w", "0.5"],
+     1, "analyze: static baseline utilization needs LC tasks"),
+    (["gen", "--band", "2:1"], 2, "gen: band must satisfy 0 < lo < hi, got lo=2, hi=1"),
+    (["gen", "--band", "0:1/2"], 2, "gen: band must satisfy 0 < lo < hi, got lo=0, hi=1/2"),
+])
+def test_cli_errors_name_their_subcommand(tmp_path, capsys, half_four_fifths_set,
+                                          argv, status, line):
+    path = taskset_file(tmp_path, half_four_fifths_set)
+    hc_only = tmp_path / "hc_only.txt"
+    save_taskset(TaskSet((McTask(1, F(10), F(4), Criticality.HC, lc_estimate=F(2)),)),
+                 hc_only)
+    argv = [arg.format(set=path, dir=tmp_path, hc_only=hc_only) for arg in argv]
+    if argv[0] in ("gen", "prob"):
+        argv += ["--out", str(tmp_path)]
+    assert main(argv) == status
+    assert capsys.readouterr().err == f"error: {line.format(set=path, dir=tmp_path)}\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["prob", "--n", "0"], "argument --n: must be a positive integer, got 0"),
     (["prob", "--n", "-1"], "argument --n: must be a positive integer, got -1"),

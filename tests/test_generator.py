@@ -152,7 +152,7 @@ def grows_numpy_draws(params, rng, attempt, n=40):
 
 ATTEMPTS = (*range(21), 10**5)
 ENTROPIES = (7, (3, 1, 4, 1, 5), 0, 2**32 + 9, (np.int64(2**40), np.int64(5)),
-             None)
+             None, tuple(range(1, 10)))
 
 
 @pytest.mark.parametrize("entropy", ENTROPIES)
@@ -165,10 +165,20 @@ def test_attempt_seeds_match_seed_sequence(entropy, spawn_key):
             grows_numpy_draws(params, root, attempt)
 
 
-@pytest.mark.parametrize("root", [0, 2**32, 2**70, 2**100, np.int64(12), None])
+def test_attempt_seeds_ignore_the_root_pool_size():
+    # attempts draw on default-size pools, whatever the root's pool size
+    params = GenParams(band=BANDS[0])
+    for root in (np.random.SeedSequence(7, pool_size=8),
+                 np.random.SeedSequence(tuple(range(6)), spawn_key=(3,), pool_size=5)):
+        for attempt in ATTEMPTS:
+            grows_numpy_draws(params, root, attempt)
+
+
+@pytest.mark.parametrize("root", [0, 2**32, 2**70, 2**100, np.int64(12), None, 2**150])
 def test_attempt_seeds_match_int_roots(root):
     # up to three root words the attempt number joins the pool itself; a
-    # fourth (2**100) fills the pool, so attempts mix in after it
+    # fourth (2**100) fills the pool, so attempts mix in after it, and a
+    # fifth (2**150) moves the hash constant they mix with
     params = GenParams(band=BANDS[0], seed=77)
     for attempt in ATTEMPTS:
         grows_numpy_draws(params, root, attempt)

@@ -135,14 +135,27 @@ def test_cli_options_are_pinned():
     }
 
 
-def test_import_leaves_process_pools_out():
-    # only `experiment table3_dynamic --jobs N` with N > 1 needs a process
-    # pool; importing one pulls in multiprocessing, socket and subprocess
+def run_with_package(*args: str) -> subprocess.CompletedProcess:
+    """Run this Python on ``args`` with the tested package importable."""
     src = str(Path(mcsched.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, mcsched; print(sorted(m for m in sys.modules "
-         "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"],
-        env=env, capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_import_leaves_process_pools_out():
+    # only `experiment table3_dynamic --jobs N` with N > 1 needs a process
+    # pool; importing one pulls in multiprocessing, socket and subprocess
+    out = run_with_package(
+        "-c", "import sys, mcsched; print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_python_m_mcsched_runs_the_cli():
+    out = run_with_package("-m", "mcsched", "--version")
+    assert (out.returncode, out.stdout) == (0, "mcsched 0.1.0\n")
+    out = run_with_package("-m", "mcsched", "gen", "--band", "0.55", "--seed", "-1")
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: gen: ") and out.stderr.count("\n") == 1, out.stderr
