@@ -60,7 +60,8 @@ class GenParams:
     Attributes:
         band: Target (lo, hi) range for the average utilization
             ``(U_L + U_H + sum over HC tasks of C_L / T) / 2``.  It bounds
-            that average only, not U_L or U_H on its own.
+            that average only, not U_L or U_H on its own.  hi must reach
+            1/400, the average of one LC task with C = 1 and T = 200.
         rc: WCET inflation bound, an int in [1, 20]; HC full budgets draw
             from [C_L, rc * C_L], which a period of 200 always fits.
         seed: Root seed, a non-negative int; every restart attempt derives
@@ -79,6 +80,10 @@ class GenParams:
         hi = as_fraction(self.band[1], "band hi")
         if not 0 < lo < hi:
             raise ValueError(f"band must satisfy 0 < lo < hi, got lo={lo}, hi={hi}")
+        least = Fraction(_CL_RANGE[0], 2 * _T_MAX)
+        if hi < least:
+            raise ValueError(f"band must reach {least}, the least average utilization "
+                             f"of any task set, got lo={lo}, hi={hi}")
         object.__setattr__(self, "band", (lo, hi))
         if type(self.rc) is not int:
             raise TypeError(f"rc must be an int, got {self.rc!r}")
@@ -301,8 +306,8 @@ def _grow(params: GenParams, rng, attempts: Sequence[int]) -> TaskSet:
             if num * lo_d >= lo_n * den:
                 return TaskSet(tuple(_task_of(d, n)
                                      for n, d in enumerate(drawn, start=1)))
-    raise GenerationTimeout(
-        f"no task set hit band {params.band} in {len(attempts)} attempts")
+    lo, hi = params.band
+    raise GenerationTimeout(f"no task set hit band lo={lo}, hi={hi} in {len(attempts)} attempts")
 
 
 @dataclass(frozen=True)

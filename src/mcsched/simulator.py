@@ -34,7 +34,6 @@ import io
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush, heapreplace
 from itertools import accumulate
 from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -674,16 +673,17 @@ def edf_dispatch_violations(ts: TaskSet, cfg: SimConfig, trace: ScheduleTrace
     the trace, the jobs, the periods and each ``x * T``.  A pre-scan
     records each job's close (complete or drop) and deadline change; a
     close listed after a dispatch at the same instant still counts as
-    closed there.  Then one forward pass keeps the released, unclosed jobs
-    in two lazy-deletion heaps keyed ``(effective deadline, task, seq)``:
-    one by real deadline for dispatches in the degraded mode, one by the
-    nominal-mode key (the virtual deadline, or the real one for a zero LC
-    cap or a release while degraded), re-keyed to the real deadline once
-    the job's deadline change has passed.  Each dispatch compares the
-    chosen job's own key with the top of the heap for the mode at its
-    instant, so the audit costs O(events + dispatches log jobs).  The
-    deadlines in a reported key are rebuilt as exact ``Fraction(ticks,
-    S)``s.
+    closed there.  Then one forward pass admits each job at its release
+    with its real deadline and its nominal-mode key (the virtual deadline,
+    or the real one for a zero LC cap or a release while degraded), and
+    keeps the released, unclosed jobs in a list.  Each dispatch drops the
+    jobs closed by then and compares the chosen job's ``(effective
+    deadline, task, seq)`` with the least such key among the live jobs.
+    The effective deadline is the real one while degraded or once the
+    job's deadline change has passed, and the nominal key otherwise.  The
+    audit costs O(events + dispatches * live jobs), the factor
+    :func:`simulate` pays per step.  The deadlines in a reported key are
+    rebuilt as exact ``Fraction(ticks, S)``s.
 
     Trace contract, as :func:`simulate` emits it: event times never
     decrease.  A trace that breaks it gets one problem line saying so, and
@@ -706,29 +706,9 @@ def edf_dispatch_violations(ts: TaskSet, cfg: SimConfig, trace: ScheduleTrace
         elif kind is EventKind.DEADLINE_CHANGE:
             demote_at[(ev.task, ev.job)] = t
 
-    def top(heap: list, t: int) -> tuple | None:
-        """The least live entry at ``t``.  Closed jobs leave for good; a
-        job past its deadline change moves to its deadline.  A stale key
-        is never above the live one (x <= 1), so a live top is the
-        minimum."""
-        while heap:
-            entry = heap[0]
-            key = entry[1:]
-            if key in closed_at and closed_at[key] <= t:
-                heappop(heap)
-                continue
-            deadline = deadlines[key]
-            if entry[0] != deadline and key in demote_at and demote_at[key] <= t:
-                heapreplace(heap, (deadline,) + key)
-                continue
-            return entry
-        return None
-
     pending = sorted((ticks(j.release), j.task, j.seq) for j in trace.jobs)
-    deadlines: dict[tuple[int, int], int] = {}
-    nominal: dict[tuple[int, int], int] = {}
-    by_deadline: list[tuple] = []
-    by_nominal: list[tuple] = []
+    keys: dict[tuple[int, int], tuple[tuple, tuple]] = {}  # (real, nominal)
+    live: list[tuple[int, int]] = []
     admitted = 0
     problems = []
     last = times[0] if times else 0
@@ -743,25 +723,29 @@ def edf_dispatch_violations(ts: TaskSet, cfg: SimConfig, trace: ScheduleTrace
         while admitted < len(pending) and pending[admitted][0] <= t:
             release, tid, seq = pending[admitted]
             admitted += 1
-            deadline = release + periods[tid]
+            real = (release + periods[tid], tid, seq)
             if tid in zero_cap or degraded_at(release):
-                eff = deadline
+                keys[(tid, seq)] = (real, real)
             else:
-                eff = release + virtual[tid]
-            deadlines[(tid, seq)] = deadline
-            nominal[(tid, seq)] = eff
-            heappush(by_deadline, (deadline, tid, seq))
-            heappush(by_nominal, (eff, tid, seq))
+                keys[(tid, seq)] = (real, (release + virtual[tid], tid, seq))
+            live.append((tid, seq))
         key = (ev.task, ev.job)
-        if key not in nominal:
+        if key not in keys:
             problems.append(f"t={ev.time}: dispatched job not in sequence")
             continue
         degraded = degraded_at(t)
-        if degraded or (key in demote_at and t >= demote_at[key]):
-            chosen = (deadlines[key],) + key
-        else:
-            chosen = (nominal[key],) + key
-        best = top(by_deadline if degraded else by_nominal, t)
+        later = t + 1
+        real, chosen = keys[key]
+        if degraded or demote_at.get(key, later) <= t:
+            chosen = real
+        live = [k for k in live if closed_at.get(k, later) > t]
+        best = None
+        for k in live:
+            real, entry = keys[k]
+            if degraded or demote_at.get(k, later) <= t:
+                entry = real
+            if best is None or entry < best:
+                best = entry
         if best is not None and chosen > best:
             problems.append(
                 f"t={ev.time}: dispatched {(Fraction(chosen[0], scale),) + key} "
@@ -771,7 +755,7 @@ def edf_dispatch_violations(ts: TaskSet, cfg: SimConfig, trace: ScheduleTrace
 
 def check_lemma2_optimality(ts: TaskSet, beta_star, jobs: Sequence[Job],
                             budget_vectors: Sequence[Mapping[int, Time]], *,
-                            x: Fraction = Fraction(1)) -> bool:
+                            x: Fraction) -> bool:
     """Compare the dynamic allocation against fixed feasible budget vectors.
 
     Every vector must reserve at most the pool: sum(B_i / T_i) <= beta_star

@@ -160,12 +160,6 @@ class TaskSet:
                 raise ValueError(f"duplicate task id {t.id}")
             seen.add(t.id)
 
-    def __iter__(self):
-        return iter(self.tasks)
-
-    def __len__(self):
-        return len(self.tasks)
-
     def task(self, task_id: int) -> McTask:
         for t in self.tasks:
             if t.id == task_id:

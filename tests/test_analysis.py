@@ -183,14 +183,14 @@ def test_map_to_static_lc_split():
     ts = TaskSet((McTask(1, F(10), F(4), Criticality.LC, alpha=F(1, 2)),
                   McTask(2, F(10), F(4), Criticality.HC)))
     parts = map_to_static(ts, {2: F(1)})
-    by_id = {p.id: p for p in parts}
+    by_id = {p.id: p for p in parts.tasks}
     assert by_id[2].lc_estimate == F(2) and by_id[2].wcet == F(2)
     assert by_id[2].criticality is Criticality.HC
     assert by_id[3].wcet == F(2) and by_id[3].criticality is Criticality.LC
     assert by_id[3].lc_estimate is None
     assert by_id[4].lc_estimate == F(1) and by_id[4].wcet == F(4)
-    assert all(p.period == F(10) for p in parts)
-    assert {p.id // 2 for p in parts} == {1, 2}
+    assert all(p.period == F(10) for p in parts.tasks)
+    assert {p.id // 2 for p in parts.tasks} == {1, 2}
     assert static_split(ts.task(1), F(3)) == ((2, F(2)), (3, F(1)))
     assert static_split(ts.task(2), F(3)) == ((4, F(3)), (5, F(0)))
 
@@ -199,7 +199,7 @@ def test_map_to_static_degenerate_parts():
     ts = TaskSet((McTask(1, F(10), F(4), Criticality.LC, alpha=F(1)),
                   McTask(2, F(10), F(4), Criticality.HC)))
     parts = map_to_static(ts, {})  # missing e_m -> 0
-    ids = {p.id for p in parts}
+    ids = {p.id for p in parts.tasks}
     assert ids == {2, 4}  # the (1-alpha) LC remainder is dropped at alpha=1
     assert parts.task(4).lc_estimate == F(0)
 

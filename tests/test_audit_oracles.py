@@ -263,6 +263,38 @@ def test_audits_match_the_oracles_on_an_empty_trace():
     assert unserved > 0
 
 
+def test_audits_match_the_oracles_on_an_overloaded_backlog():
+    # HC utilization 3/4 + 3/5 = 27/20, so released jobs pile up: the drawn
+    # systems keep at most 6 jobs live at a dispatch, this one up to 32
+    ts = TaskSet((McTask(1, F(6), F(2), Criticality.LC, alpha=F(1, 2)),
+                  McTask(2, F(4), F(3), Criticality.HC, lc_estimate=F(2)),
+                  McTask(3, F(5), F(3), Criticality.HC, lc_estimate=F(1))))
+    jobs = make_jobs((t.id, k * t.period, t.wcet) for t in ts.tasks
+                     for k in range(120 // int(t.period)))
+    assert len(jobs) == 74
+    most_live = 0
+    for policy in (EdfUvdMeba(F(1, 2)), FixedBudget({2: 3, 3: 3}), EdfVdStatic()):
+        cfg = SimConfig(policy, F(3, 5), horizon=F(120))
+        trace = simulate(ts, cfg, jobs)
+        assert_audits_agree(ts, cfg, [F(1, 2), F(1, 4)], trace)
+        whole = replace(cfg, x=F(1))
+        assert edf_dispatch_violations(ts, whole, trace) == \
+            oracle.edf_dispatch_violations(ts, whole, trace)
+        closed = {(ev.task, ev.job): ev.time for ev in trace.events
+                  if ev.kind in (EventKind.COMPLETE, EventKind.DROP)}
+        most_live = max(most_live, *(
+            sum(j.release <= ev.time < closed.get((j.task, j.seq), ev.time + 1)
+                for j in trace.jobs)
+            for ev in trace.events if ev.kind is EventKind.DISPATCH))
+        if isinstance(policy, FixedBudget):
+            # the budgets are the WCETs, so the run never switches, and its
+            # backlog breaks EDF order under each other deadline factor
+            assert mode_switch_instant(trace) is None
+            for x in (F(3, 10), F(4, 5), F(1)):
+                assert edf_dispatch_violations(ts, replace(cfg, x=x), trace)
+    assert most_live >= 20
+
+
 def test_pool_audit_text_at_a_large_denominator():
     # one HC task, T = 10 and U_H = 1/2: its only job exhausts its grant
     # 10 * beta * U_H at t* = 1196103/1000000; audited against half the pool

@@ -244,7 +244,7 @@ def test_cli_simulate_static_policy(tmp_path, capsys, half_four_fifths_set):
 
 
 def test_cli_static_policy_needs_estimates(tmp_path, capsys, half_four_fifths_set):
-    ts = TaskSet(tuple(replace(t, lc_estimate=None) for t in half_four_fifths_set))
+    ts = TaskSet(tuple(replace(t, lc_estimate=None) for t in half_four_fifths_set.tasks))
     path = taskset_file(tmp_path, ts)
     rc = main(["simulate", "--taskset", path, "--policy", "vd",
                "--x", "2/5", "--horizon", "10"])
@@ -419,6 +419,8 @@ def test_cli_malformed_taskset_exit_code(tmp_path, capsys):
     *((["gen", "--band", band], f"error: gen: --band '{band}': lo and hi must be "
       "rational numbers; use lo:hi or one of 0.55,0.60,0.65,0.70,0.75")
       for band in ("1/0:1", ":", "1/2:x")),
+    (["gen", "--band", "1/1000:1/500"], "error: gen: band must reach 1/400, the least "
+     "average utilization of any task set, got lo=1/1000, hi=1/500"),
 ])
 def test_cli_usage_errors_exit_2(tmp_path, capsys, half_four_fifths_set,
                                  argv, message):

@@ -301,10 +301,11 @@ def test_band_edges_are_inclusive(edge):
 
 
 def test_generation_timeout():
-    # one task alone averages at least 1/400, above the band
-    params = GenParams(band=(F(1, 1000), F(2, 1000)))
-    with pytest.raises(GenerationTimeout, match="in 5 attempts"):
-        _grow(params, np.random.SeedSequence(0), range(5))
+    # the first three attempts all overshoot this narrow band
+    params = GenParams(band=(F(70, 100), F(7005, 10000)))
+    with pytest.raises(GenerationTimeout) as raised:
+        _grow(params, np.random.SeedSequence(17), range(3))
+    assert str(raised.value) == "no task set hit band lo=7/10, hi=1401/2000 in 3 attempts"
 
 
 def test_params_validation():
@@ -312,6 +313,10 @@ def test_params_validation():
         GenParams(band=(F(1, 2), F(1, 2)))
     with pytest.raises(ValueError):
         GenParams(band=(F(0), F(1, 2)))
+    # one LC task with C = 1 and T = 200 averages 1/400, the least of any set
+    with pytest.raises(ValueError, match="band must reach 1/400"):
+        GenParams(band=(F(1, 1000), F(2, 1000)))
+    GenParams(band=(F(1, 1000), F(1, 400)))
     for rc in (0, 21):
         with pytest.raises(ValueError, match="rc"):
             GenParams(band=BANDS[0], rc=rc)
