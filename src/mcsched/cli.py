@@ -22,7 +22,7 @@ from . import __version__
 from .analysis import default_x, theorem1_test, threshold_m
 from .errors import Infeasible, InputError, InvalidFraction, InvalidJobSequence, McSchedError
 from .experiments import (
-    EXPERIMENTS,
+    EXPERIMENT_RUNNERS,
     W_GRID,
     ExperimentSpec,
     _FIGURE3_BETAS,
@@ -121,26 +121,28 @@ def _cmd_analyze(args) -> int:
     m = threshold_m(ts)
     if (args.alpha_star is None) != (args.beta_star is None):
         raise InputError("need --alpha-star with --beta-star")
-    print(f"U_L={u_l} U_H={u_h} M={'none' if m is None else m}")
+    # printed at the end, so a run that fails prints nothing
+    lines = [f"U_L={u_l} U_H={u_h} M={'none' if m is None else m}"]
     status = 0
     if args.alpha_star is not None:
         verdict = theorem1_test(ts, args.alpha_star, args.beta_star)
-        print(f"schedulable={'yes' if verdict.schedulable else 'no'}"
-              f" x_lo={verdict.x_lo} x_hi={verdict.x_hi}")
+        lines.append(f"schedulable={'yes' if verdict.schedulable else 'no'}"
+                     f" x_lo={verdict.x_lo} x_hi={verdict.x_hi}")
         if verdict.schedulable:
-            print(f"x={default_x(verdict)}")
+            lines.append(f"x={default_x(verdict)}")
         else:
             status = 1
     if args.w is not None:
         beta_opt, su_dyn, su_stat, ratio = su_row(ts, args.w)
-        print(f"w={args.w} beta_opt={beta_opt:.6f} su_dynamic={su_dyn:.6f}"
-              f" su_static={su_stat:.6f} ratio={ratio:.6f}")
+        lines.append(f"w={args.w} beta_opt={beta_opt:.6f} su_dynamic={su_dyn:.6f}"
+                     f" su_static={su_stat:.6f} ratio={ratio:.6f}")
     if args.sweep:
         rows = [(w, *su_row(ts, w)) for w in W_GRID]
         path = _out_dir(args) / "analyze_sweep.csv"
         write_rows(path, ["w", "beta_opt", "su_dynamic", "su_static", "ratio"],
                    rows, f"mcsched {__version__} name=analyze_sweep")
-        print(f"wrote {path}")
+        lines.append(f"wrote {path}")
+    print("\n".join(lines))
     return status
 
 
@@ -156,6 +158,13 @@ def _parse_budgets(text: str) -> dict[int, Fraction]:
 
 
 def _cmd_simulate(args) -> int:
+    if args.budgets is not None and args.policy != "fixed":
+        raise InputError(f"--budgets is for --policy fixed, not --policy {args.policy}")
+    if args.x is not None and args.alpha_star is not None:
+        raise InputError("--alpha-star is for deriving x, not with --x")
+    if args.x is not None and args.beta_star is not None and args.policy != "uvd":
+        raise InputError(f"--beta-star is for deriving x or --policy uvd, "
+                         f"not --policy {args.policy} with --x")
     ts = _load_taskset(args.taskset)
     if args.policy == "uvd":
         if args.beta_star is None:
@@ -292,8 +301,9 @@ def _cmd_prob(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    spec = ExperimentSpec(name=args.name, out_dir=str(_out_dir(args)),
-                          seed=args.seed, trials=args.trials, jobs=args.jobs)
+    # the options the study's parser has; ExperimentSpec's defaults fill the rest
+    given = {key: value for key, value in vars(args).items() if key in ("seed", "trials", "jobs")}
+    spec = ExperimentSpec(name=args.name, out_dir=str(_out_dir(args)), **given)
     violations = run_experiment(spec)
     print(f"experiment {args.name}: violations={violations}")
     return 1 if violations else 0
@@ -303,7 +313,7 @@ class _Parser(argparse.ArgumentParser):
     """Reports a rejected option or value as one usage error, like the commands."""
 
     def error(self, message):
-        command = self.prog.removeprefix("mcsched").strip()
+        command = " ".join(self.prog.split()[1:2])  # a study's parser names `experiment`
         raise InputError(f"{command}: {message}" if command else message)
 
 
@@ -369,20 +379,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("s", "d", "both"), default="both")
     p.set_defaults(func=_cmd_prob)
 
-    p = sub.add_parser("experiment", parents=[seeded, writes],
-                       help="run a canned reproducible study")
-    p.add_argument("name", choices=EXPERIMENTS)
-    p.add_argument("--trials", type=_int_from(1))
-    p.add_argument("--jobs", type=_int_from(1), default=1, help="worker processes")
+    p = sub.add_parser("experiment", help="run a canned reproducible study")
     p.set_defaults(func=_cmd_experiment)
+    studies = p.add_subparsers(dest="name", required=True)
+    # A figure (no default trial count) draws nothing; only table3_dynamic has a worker pool.
+    for name, (_, _, trials, _) in EXPERIMENT_RUNNERS.items():
+        study = studies.add_parser(name, parents=[writes] if trials is None else [seeded, writes])
+        if trials is not None:
+            study.add_argument("--trials", type=_int_from(1))
+        if name == "table3_dynamic":
+            study.add_argument("--jobs", type=_int_from(1), default=1, help="worker processes")
     return parser
 
 
 def main(argv=None) -> int:
     command = ""  # parse errors name their subcommand themselves
     try:
-        args = build_parser().parse_args(argv)
+        args, unknown = build_parser().parse_known_args(argv)
         command = f"{args.command}: "
+        if unknown:
+            raise InputError(f"unrecognized arguments: {' '.join(unknown)}")
         return args.func(args)
     # Out-of-range service levels, weights and deadline factors can only
     # come from options here, so they are usage errors too, as are files

@@ -285,6 +285,14 @@ def test_cli_experiment_subcommand(tmp_path, capsys):
     assert "violations=0" in capsys.readouterr().out
 
 
+def test_cli_table3_worker_processes_write_the_same_bytes(tmp_path, capsys):
+    for jobs in ("1", "2"):
+        assert main(["experiment", "table3_dynamic", "--trials", "2", "--jobs", jobs,
+                     "--out", str(tmp_path / jobs)]) == 0
+    assert ((tmp_path / "1" / "table3_dynamic.csv").read_bytes()
+            == (tmp_path / "2" / "table3_dynamic.csv").read_bytes())
+
+
 def test_cli_out_dir_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MCSCHED_OUT", str(tmp_path / "envout"))
     rc = main(["prob", "--n", "1", "--beta-star", "1/2"])
@@ -328,6 +336,9 @@ def test_cli_malformed_taskset_exit_code(tmp_path, capsys):
     path.write_text("taskset v1\n1 10 5\n")
     assert main(["analyze", "--taskset", str(path)]) == 2
     assert_one_error_line(capsys)
+
+
+SEEDED_STUDIES = ("table3_dynamic", "lemma2_fuzz", "mapping_fuzz", "e2e_verify")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -408,7 +419,11 @@ def test_cli_malformed_taskset_exit_code(tmp_path, capsys):
     *((argv + ["--seed", "-1"], "argument --seed: must be a non-negative integer, got -1")
       for argv in (["simulate", "--taskset", "{set}", "--policy", "vd", "--x", "2/5",
                     "--horizon", "10"],
-                   *(["experiment", name, "--trials", "1"] for name in EXPERIMENTS))),
+                   *(["experiment", name, "--trials", "1"] for name in SEEDED_STUDIES))),
+    *((["experiment", name, option, value],
+       f"error: experiment: unrecognized arguments: {option} {value}")
+      for name, option, value in (("figure2", "--seed", "3"), ("figure3", "--trials", "2"),
+                                  ("figure4", "--jobs", "2"))),
     *((["simulate", "--taskset", "{set}", "--policy", "vd", "--x", "2/5",
         "--jobs-csv", "{dir}/one_job.csv", option, value],
       f"error: simulate: {option} is for generated jobs, not --jobs-csv")
@@ -460,6 +475,23 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, half_four_fifths_set,
      1, "analyze: static baseline utilization needs LC tasks"),
     (["gen", "--band", "2:1"], 2, "gen: band must satisfy 0 < lo < hi, got lo=2, hi=1"),
     (["gen", "--band", "0:1/2"], 2, "gen: band must satisfy 0 < lo < hi, got lo=0, hi=1/2"),
+    (["analyze", "--u-l", "1/2", "--u-h", "1/2", "--seed", "3"],
+     2, "analyze: unrecognized arguments: --seed 3"),
+    (["experiment", "e2e_verify", "--jobs", "2"], 2, "experiment: unrecognized arguments: --jobs 2"),
+    (["analyze", "--u-l", "1/2", "--u-h", "2/5", "--w", "nan"],
+     2, "analyze: w must lie in [0, 1], got nan"),
+    (["simulate", "--taskset", "{set}", "--policy", "uvd", "--beta-star", "1/4", "--x", "1/2",
+      "--budgets", "2:1"], 2, "simulate: --budgets is for --policy fixed, not --policy uvd"),
+    (["simulate", "--taskset", "{set}", "--policy", "vd", "--budgets", "2:1", "--x", "1/2",
+      "--horizon", "10"], 2, "simulate: --budgets is for --policy fixed, not --policy vd"),
+    (["simulate", "--taskset", "{set}", "--policy", "vd", "--beta-star", "1/4",
+      "--alpha-star", "0", "--x", "1/2"], 2, "simulate: --alpha-star is for deriving x, not with --x"),
+    (["simulate", "--taskset", "{set}", "--beta-star", "1/4", "--alpha-star", "0", "--x", "2/5",
+      "--horizon", "10"], 2, "simulate: --alpha-star is for deriving x, not with --x"),
+    *((["simulate", "--taskset", "{set}", "--policy", policy, *budgets, "--beta-star", "1/4",
+        "--x", "1/2", "--horizon", "10"],
+       2, f"simulate: --beta-star is for deriving x or --policy uvd, not --policy {policy} with --x")
+      for policy, budgets in (("vd", []), ("fixed", ["--budgets", "2:1,3:1"]))),
 ])
 def test_cli_errors_name_their_subcommand(tmp_path, capsys, half_four_fifths_set,
                                           argv, status, line):
@@ -471,7 +503,8 @@ def test_cli_errors_name_their_subcommand(tmp_path, capsys, half_four_fifths_set
     if argv[0] in ("gen", "prob"):
         argv += ["--out", str(tmp_path)]
     assert main(argv) == status
-    assert capsys.readouterr().err == f"error: {line.format(set=path, dir=tmp_path)}\n"
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {line.format(set=path, dir=tmp_path)}\n")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -480,8 +513,8 @@ def test_cli_errors_name_their_subcommand(tmp_path, capsys, half_four_fifths_set
     (["gen", "--band", "0.55", "--count", "0"], "argument --count: must be"),
     (["experiment", "e2e_verify", "--trials", "0"], "argument --trials: must be"),
     (["experiment", "table3_dynamic", "--trials", "-3"], "argument --trials: must be"),
-    (["experiment", "figure2", "--jobs", "0"], "argument --jobs: must be"),
-    (["experiment", "figure2", "--jobs", "two"], "argument --jobs: invalid"),
+    (["experiment", "table3_dynamic", "--jobs", "0"], "argument --jobs: must be"),
+    (["experiment", "table3_dynamic", "--jobs", "two"], "argument --jobs: invalid"),
     (["prob", "--trials", "5"], "unrecognized arguments: --trials 5"),
     (["analyze", "--u-l", "1/2", "--u-h", "1/2", "--jobs", "2"],
      "unrecognized arguments: --jobs 2"),

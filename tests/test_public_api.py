@@ -10,6 +10,7 @@ subcommand's options are pinned the same way.
 import argparse
 import dataclasses
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -116,12 +117,22 @@ def test_gen_params_fields_are_pinned():
         "band", "rc", "seed", "inflate_lc"]
 
 
+def subcommand_options(parser: argparse.ArgumentParser, prefix: str = "") -> dict:
+    """Each (nested) subcommand's sorted option strings, keyed by its words."""
+    options = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                options[prefix + name] = sorted(
+                    s for a in sub._actions for s in a.option_strings)
+                options.update(subcommand_options(sub, f"{prefix}{name} "))
+    return options
+
+
 def test_cli_options_are_pinned():
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    options = {name: sorted(s for a in p._actions for s in a.option_strings)
-               for name, p in sub.choices.items()}
-    assert options == {
+    figure = ["--help", "--out", "-h"]
+    suite = ["--help", "--out", "--seed", "--trials", "-h"]
+    assert subcommand_options(build_parser()) == {
         "analyze": ["--alpha-star", "--beta-star", "--help", "--out", "--sweep",
                     "--taskset", "--u-h", "--u-l", "--w", "-h"],
         "simulate": ["--alpha-star", "--beta-star", "--budgets", "--demand-model",
@@ -131,8 +142,32 @@ def test_cli_options_are_pinned():
                 "--seed", "-h"],
         "prob": ["--beta-star", "--dist", "--help", "--model", "--n", "--out", "--u",
                  "-h"],
-        "experiment": ["--help", "--jobs", "--out", "--seed", "--trials", "-h"],
+        "experiment": ["--help", "-h"],
+        "experiment table3_dynamic": ["--help", "--jobs", "--out", "--seed", "--trials", "-h"],
+        "experiment figure2": figure,
+        "experiment figure3": figure,
+        "experiment figure4": figure,
+        "experiment lemma2_fuzz": suite,
+        "experiment mapping_fuzz": suite,
+        "experiment e2e_verify": suite,
     }
+
+
+def readme_commands() -> list[list[str]]:
+    """The ``mcsched`` commands in the README's Command line block."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("mcsched ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) == 10
+    for argv in commands:
+        build_parser().parse_args(argv[1:])  # a bad option raises InputError
 
 
 def run_with_package(*args: str) -> subprocess.CompletedProcess:
