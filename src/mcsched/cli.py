@@ -116,6 +116,8 @@ def _load_or_synthesize(args) -> TaskSet:
 
 
 def _cmd_analyze(args) -> int:
+    if args.out is not None and not args.sweep:
+        raise InputError("--out is for --sweep")
     ts = _load_or_synthesize(args)
     u_l, u_h = utilizations(ts)
     m = threshold_m(ts)

@@ -252,8 +252,7 @@ def validate_jobs(ts: TaskSet, jobs: Sequence[Job]) -> None:
 class _Run:
     """Mutable per-job execution state inside the simulator."""
 
-    __slots__ = ("job", "task", "deadline", "eff", "consumed", "limit", "cap",
-                 "demoted", "budget")
+    __slots__ = ("job", "task", "deadline", "eff", "consumed", "limit", "cap", "until")
 
     def __init__(self, job: Job, task: McTask, cap: Time | None):
         self.job = job
@@ -263,8 +262,7 @@ class _Run:
         self.consumed = Fraction(0)
         self.limit = job.demand
         self.cap = cap
-        self.demoted = False
-        self.budget: Time | None = None
+        self.until: Time | None = None  # the consumption that fires a nominal rule
 
 
 def _prio(run: _Run) -> tuple:
@@ -285,9 +283,10 @@ def simulate(ts: TaskSet, cfg: SimConfig, jobs: Sequence[Job], *,
     ``DROP`` for an LC release with a zero cap while degraded; then
     ``IDLE`` if nothing is ready; then ``PREEMPT`` and ``DISPATCH``; and
     last, for a grant at or below the job's consumption, a ``MODE_SWITCH``
-    at the same instant.  A budget or cap that runs out at a release
-    instant is handled before the release, and a completion before an
-    exhaustion.
+    at the same instant.  A job's nominal-mode threshold (an HC job's
+    grant, which degrades the system, or an LC job's cap below its demand,
+    which moves it to its real deadline) fires before a release at the
+    same instant, and not at all if the job completes there.
 
     Args:
         ts: Task set; the policy derives the LC caps and HC budgets from it.
@@ -340,8 +339,8 @@ def simulate(ts: TaskSet, cfg: SimConfig, jobs: Sequence[Job], *,
                 return
         elif task.is_hc or run.cap > 0:
             run.eff = job.release + x * task.period
-        else:
-            run.demoted = True  # a zero cap runs against its deadline from release
+            if task.is_lc and run.cap < job.demand:
+                run.until = run.cap
         ready.append(run)
 
     def degrade(trigger: _Run):
@@ -385,20 +384,15 @@ def simulate(ts: TaskSet, cfg: SimConfig, jobs: Sequence[Job], *,
                 grant = (budgets.get(running.task.id, Fraction(0)) if meba is None
                          else meba.on_dispatch(running.task.id))
                 # A grant at or below the consumption degrades at ``now`` below.
-                running.budget = max(grant, running.consumed)
+                running.until = max(grant, running.consumed)
 
         rem = running.limit - running.consumed
         t_next = now + rem
         action = "finish"
-        if mode is Mode.LC and running.task.is_hc:
-            t_budget = now + (running.budget - running.consumed)
-            if t_budget < t_next:
-                t_next, action = t_budget, "degrade"
-        if (mode is Mode.LC and running.task.is_lc and not running.demoted
-                and running.cap < running.limit):
-            t_cap = now + (running.cap - running.consumed)
-            if t_cap < t_next:
-                t_next, action = t_cap, "demote"
+        if mode is Mode.LC and running.until is not None:
+            t_until = now + (running.until - running.consumed)
+            if t_until < t_next:
+                t_next, action = t_until, "degrade" if running.task.is_hc else "demote"
         if i < len(ordered) and ordered[i].release < t_next:
             t_next, action = ordered[i].release, "release"
 
@@ -416,7 +410,7 @@ def simulate(ts: TaskSet, cfg: SimConfig, jobs: Sequence[Job], *,
         elif action == "degrade":
             degrade(running)
         elif action == "demote":
-            running.demoted = True
+            running.until = None
             running.eff = running.deadline
             emit(EventKind.DEADLINE_CHANGE, now, running,
                  detail=f"deadline={running.deadline}")
@@ -885,22 +879,30 @@ def check_mapping_equivalence(ts: TaskSet, alphas, x, jobs: Sequence[Job], *,
 def load_jobs_csv(path) -> tuple[Job, ...]:
     """Read jobs from CSV columns ``task,release,demand``.
 
+    Blank lines and lines starting with ``#`` are skipped; an error names
+    its line as numbered in the file, comments included.
+
     Raises:
-        InputError: if a column is missing or a row does not parse.
+        InputError: if a column is missing, or a row does not parse or has
+            another number of fields than the header.
     """
-    entries = []
-    lines = io.StringIO(read_text(path), newline="")
-    reader = csv.DictReader(row for row in lines if not row.startswith("#"))
-    missing = [c for c in ("task", "release", "demand")
-               if c not in (reader.fieldnames or ())]
+    lines = enumerate(io.StringIO(read_text(path), newline=""), start=1)
+    rows = [(no, raw.rstrip("\r\n"), row) for no, raw in lines
+            if not raw.startswith("#") for row in csv.reader([raw]) if row]
+    header = rows[0][2] if rows else []
+    missing = [c for c in ("task", "release", "demand") if c not in header]
     if missing:
         raise InputError(f"missing column(s) {', '.join(missing)}")
-    for row in reader:
+    entries = []
+    for no, text, row in rows[1:]:
+        if len(row) != len(header):
+            raise InputError(f"line {no}: expected {len(header)} fields, got {text!r}")
+        fields = dict(zip(header, row))
         try:
-            entries.append((int(row["task"]), Fraction(row["release"]),
-                            Fraction(row["demand"])))
-        except (TypeError, ValueError, ZeroDivisionError):
-            raise InputError(f"bad job row {row}") from None
+            entries.append((int(fields["task"]), Fraction(fields["release"]),
+                            Fraction(fields["demand"])))
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"line {no}: bad job row {text!r}") from None
     return make_jobs(entries)
 
 

@@ -28,6 +28,7 @@ from mcsched.experiments import (
     max_alpha_for_generated_set,
     random_budget_vectors,
     random_feasible_scenario,
+    run_e2e_verify,
     run_figure2,
     run_figure3,
     run_figure4,
@@ -285,6 +286,17 @@ def test_cli_experiment_subcommand(tmp_path, capsys):
     assert "violations=0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("audit, finding", [
+    ("verify_mc_schedulable", (False, [])),
+    ("pool_utilization_violations", ["pool"]),
+    ("edf_dispatch_violations", ["edf"]),
+])
+def test_e2e_verify_fails_a_trial_on_any_audit(monkeypatch, audit, finding):
+    monkeypatch.setattr(f"mcsched.experiments.{audit}", lambda *args: finding)
+    rows = run_e2e_verify(ExperimentSpec("e2e_verify", trials=2))
+    assert [ok for _, _, ok in rows] == [0, 0]
+
+
 def test_cli_table3_worker_processes_write_the_same_bytes(tmp_path, capsys):
     for jobs in ("1", "2"):
         assert main(["experiment", "table3_dynamic", "--trials", "2", "--jobs", jobs,
@@ -436,13 +448,21 @@ SEEDED_STUDIES = ("table3_dynamic", "lemma2_fuzz", "mapping_fuzz", "e2e_verify")
       for band in ("1/0:1", ":", "1/2:x")),
     (["gen", "--band", "1/1000:1/500"], "error: gen: band must reach 1/400, the least "
      "average utilization of any task set, got lo=1/1000, hi=1/500"),
+    *((["simulate", "--taskset", "{set}", "--policy", "vd", "--x", "1/2",
+        "--jobs-csv", f"{{dir}}/{name}.csv"],
+       f"error: simulate: {{dir}}/{name}.csv: line {line}\n")
+      for name, line in (("bad_field", "2: bad job row '2,x,1'"),
+                         ("short_row", "3: expected 3 fields, got '1,0'"),
+                         ("long_row", "2: expected 3 fields, got '1,0,5,9'"))),
 ])
 def test_cli_usage_errors_exit_2(tmp_path, capsys, half_four_fifths_set,
                                  argv, message):
     path = taskset_file(tmp_path, half_four_fifths_set)
     for name, row in (("unknown_task", "9,0,1"), ("zero_demand", "1,0,0"),
                       ("long_demand", "2,0,9/2"), ("negative_release", "1,-1,1"),
-                      ("too_close", "1,0,1\n1,5,1"), ("one_job", "2,0,1")):
+                      ("too_close", "1,0,1\n1,5,1"), ("one_job", "2,0,1"),
+                      ("bad_field", "2,x,1"), ("short_row", "# a comment\n1,0"),
+                      ("long_row", "1,0,5,9")):
         (tmp_path / f"{name}.csv").write_text(f"task,release,demand\n{row}\n")
     for name, text in (("short_cdf", "1/2 1/2\n1 9/10\n"), ("word", "1 1\nabc\n"),
                        ("ragged", "1/2 x\n"), ("cdf_above_one", "1 2\n")):
@@ -451,7 +471,7 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, half_four_fifths_set,
     (tmp_path / "latin1.txt").write_bytes("taskset v1\n# \u00e9t\u00e9\n".encode("latin-1"))
     (tmp_path / "subdir").mkdir()
     argv = [arg.format(set=path, dir=tmp_path) for arg in argv]
-    if argv[0] != "simulate" and "--out" not in argv:
+    if argv[0] in ("gen", "prob", "experiment") and "--out" not in argv:
         argv += ["--out", str(tmp_path)]
     message = message.format(dir=tmp_path)
     assert main(argv) == 2
@@ -492,6 +512,8 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, half_four_fifths_set,
         "--x", "1/2", "--horizon", "10"],
        2, f"simulate: --beta-star is for deriving x or --policy uvd, not --policy {policy} with --x")
       for policy, budgets in (("vd", []), ("fixed", ["--budgets", "2:1,3:1"]))),
+    (["analyze", "--u-l", "1/2", "--u-h", "1/2", "--out", "{dir}/never"],
+     2, "analyze: --out is for --sweep"),
 ])
 def test_cli_errors_name_their_subcommand(tmp_path, capsys, half_four_fifths_set,
                                           argv, status, line):

@@ -10,13 +10,14 @@ subcommand's options are pinned the same way.
 import argparse
 import dataclasses
 import os
+import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import mcsched
-from mcsched.cli import build_parser
+from mcsched.cli import build_parser, main
 
 PUBLIC_NAMES = [
     "BANDS",
@@ -153,21 +154,37 @@ def test_cli_options_are_pinned():
     }
 
 
-def readme_commands() -> list[list[str]]:
-    """The ``mcsched`` commands in the README's Command line block."""
+def readme_block() -> str:
+    """The README's Command line block."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("## Command line", 1)[1]
-    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return section.split("```sh\n", 1)[1].split("```", 1)[0]
+
+
+def readme_commands() -> list[list[str]]:
+    """The ``mcsched`` commands in the README's Command line block."""
     return [shlex.split(line, comments=True)
-            for line in block.replace("\\\n", " ").splitlines()
+            for line in readme_block().replace("\\\n", " ").splitlines()
             if line.startswith("mcsched ")]
 
 
-def test_readme_commands_parse():
+def test_readme_commands_parse(tmp_path, monkeypatch, capsys):
     commands = readme_commands()
     assert len(commands) == 10
     for argv in commands:
         build_parser().parse_args(argv[1:])  # a bad option raises InputError
+    # The block runs as written in an empty directory, from the file its
+    # heredoc writes; the studies are left to the experiment tests.
+    name, text = re.search(r"cat > (\S+) <<'EOF'\n(.*?\n)EOF\n", readme_block(),
+                           re.DOTALL).groups()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MCSCHED_OUT", raising=False)
+    (tmp_path / name).write_text(text)
+    for argv in commands:
+        if argv[1] != "experiment":
+            assert main(argv[1:]) == 0, argv
+    out = capsys.readouterr().out
+    assert "jobs=30 events=70 t_star=2\n" in out and "verify: ok\n" in out
 
 
 def run_with_package(*args: str) -> subprocess.CompletedProcess:

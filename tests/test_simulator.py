@@ -261,6 +261,47 @@ def test_one_instant_order_puts_the_idle_after_the_admissions():
         ("3", "complete", 3, 0, ""),
         ("3", "idle", None, None, ""),
     ]
+    # (c) 1/0's budget 2 runs out as 2/0 (virtual deadline 4 < 5) is
+    # released: the switch comes first, and 2/0 is admitted against its
+    # real deadline 6.
+    ts = TaskSet((McTask(1, F(10), F(4), Criticality.HC),
+                  McTask(2, F(4), F(1), Criticality.HC)))
+    trace = simulate(ts, SimConfig(FixedBudget({1: 2, 2: 1}), F(1, 2)),
+                     make_jobs([(1, 0, 3), (2, 2, 1)]))
+    assert events(trace) == [
+        ("0", "dispatch", 1, 0, ""),
+        ("2", "mode_switch", 1, 0, "trigger=1"),
+        ("2", "preempt", 1, 0, ""),
+        ("2", "dispatch", 2, 0, ""),
+        ("3", "complete", 2, 0, ""),
+        ("3", "dispatch", 1, 0, ""),
+        ("4", "complete", 1, 0, ""),
+        ("4", "idle", None, None, ""),
+    ]
+    # (d) 1/0 reaches its cap 2 as 2/0 (virtual deadline 4 < 5) is released:
+    # the deadline change comes first, then the admission preempts 1/0.
+    ts = TaskSet((McTask(1, F(10), F(4), Criticality.LC, alpha=F(1, 2)),
+                  McTask(2, F(4), F(1), Criticality.LC, alpha=F(1))))
+    trace = simulate(ts, SimConfig(FixedBudget({}), F(1, 2)),
+                     make_jobs([(1, 0, 4), (2, 2, 1)]))
+    assert events(trace) == [
+        ("0", "dispatch", 1, 0, ""),
+        ("2", "deadline_change", 1, 0, "deadline=10"),
+        ("2", "preempt", 1, 0, ""),
+        ("2", "dispatch", 2, 0, ""),
+        ("3", "complete", 2, 0, ""),
+        ("3", "dispatch", 1, 0, ""),
+        ("5", "complete", 1, 0, ""),
+        ("5", "idle", None, None, ""),
+    ]
+    # (e) a demand equal to the grant completes, and nothing switches.
+    ts = TaskSet((McTask(1, F(10), F(4), Criticality.HC),))
+    trace = simulate(ts, SimConfig(FixedBudget({1: 2}), F(1, 2)), make_jobs([(1, 0, 2)]))
+    assert events(trace) == [
+        ("0", "dispatch", 1, 0, ""),
+        ("2", "complete", 1, 0, ""),
+        ("2", "idle", None, None, ""),
+    ]
 
 
 def test_zero_pool_degrades_at_first_dispatch():
